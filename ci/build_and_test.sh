@@ -140,16 +140,14 @@ fi
 echo "durability: audit logs verified, tamper detected -- OK"
 rm -rf "${DUR_DIR}"
 
-echo "==> Bench orchestrator: quick epoch-rate protocol + schema + regression"
-# Warmup + repeat-3-take-median over bench_epoch_rate via the orchestrator
-# (the same entry point developers use), compared against the tracked
-# baseline in bench/results/ -- a >10% rate drop prints a WARNING, never a
-# failure: CI boxes differ. Nothing is recorded from CI; tracked results
-# are written deliberately, per PR. The re-validation below is
-# independent of the orchestrator's own schema check, and additionally
-# requires every hot-path configuration to have replayed bit-identically
-# to the all-off baseline (matches_baseline).
-python3 tools/bench/run_benchmarks.py --quick --bench epoch_rate --no-record
+echo "==> Epoch rate: quick per-mode throughput + schema + bit-identity"
+# One short run of bench_epoch_rate (its rows pin the in-process transport
+# and a fault-free network, so the environment cannot change them). The
+# re-validation below checks the report schema and requires every row to
+# have replayed bit-identically to its mode's serial row
+# (matches_baseline). Timing is not judged here: the tracked benchmark is
+# perfbench/ (next stage).
+(cd build && RFID_BENCH_MAX_HORIZON=900 ./bench_epoch_rate >/dev/null)
 python3 - <<'EOF'
 import json
 report = json.load(open("build/BENCH_epoch_rate.json"))
@@ -159,9 +157,15 @@ rows = report["rows"]["epoch_rate"]
 assert rows, "epoch-rate bench produced no rows"
 for row in rows:
     assert row["epochs_per_sec"] > 0, row
-    assert row["matches_baseline"], f"nondeterministic hot path: {row}"
+    assert row["matches_baseline"], f"row diverged from its serial row: {row}"
 print("epoch-rate: %d rows, all bit-identical to baseline -- OK" % len(rows))
 EOF
+
+echo "==> Perfbench: the repo benchmark's own test"
+# Builds perfbench/ and replays a short version of every workload:
+# fingerprints identical across threads and transports, every metric
+# printed with its unit, and BENCHMARK.json in sync with its manifest.
+python3 perfbench/test_perfbench.py
 
 if [[ "${SKIP_SANITIZE}" == "1" ]]; then
   echo "==> Skipping sanitizer pass (--skip-sanitize)"

@@ -255,28 +255,20 @@ void DistributedSystem::Run() {
   events.erase(std::unique(events.begin(), events.end()), events.end());
 
   // At most one thread per work item can ever be useful: in distributed
-  // mode each item owns a whole site; in centralized mode the only
-  // fan-out is the pipelined boundary flush, whose items are the remote
-  // sites' batch encodes (plus the server's window). A wider pool (e.g.
-  // kAutoThreads on a many-core box driving a 1-site serial centralized
-  // replay) only adds wakeup contention.
+  // mode each item owns a whole site; centralized mode runs one server
+  // with nothing to fan out. A wider pool (e.g. kAutoThreads on a
+  // many-core box driving a 1-site serial centralized replay) only adds
+  // wakeup contention.
   const int useful_threads =
-      centralized() ? (options_.pipeline_flush
-                           ? static_cast<int>(num_warehouses)
-                           : 1)
-                    : static_cast<int>(sites_.size());
+      centralized() ? 1 : static_cast<int>(sites_.size());
   SiteExecutor executor(std::min(
       SiteExecutor::ResolveThreads(options_.num_threads), useful_threads));
   std::vector<size_t>& cursor = cursors_;
   // Centralized mode: a remote site's un-flushed readings pend as the
   // range [flush_begin[s], cursor[s]) of its immutable simulator trace --
   // the boundary flush encodes straight from that span, so no reading is
-  // ever staged through an intermediate copy. encoded[] holds the
-  // pipelined flush's per-site payloads between the fan-out and the
-  // serial sends.
+  // ever staged through an intermediate copy.
   std::vector<size_t> flush_begin(static_cast<size_t>(num_warehouses), 0);
-  std::vector<std::vector<uint8_t>> encoded(
-      static_cast<size_t>(num_warehouses));
   std::vector<size_t> ready;
   ready.reserve(sites_.size());
   std::vector<int> ran(sites_.size(), 0);
@@ -437,55 +429,15 @@ void DistributedSystem::Run() {
     } else {
       const bool flush_now = boundary || t == horizon;
       const size_t begin0 = cursor[0];
-      {
-        // Advance every cursor on the replay thread (a cheap scan over
-        // the trace); remote readings stay pending as trace ranges until
-        // the flush below ships them.
-        for (SiteId s = 0; s < num_warehouses; ++s) {
-          const std::vector<RawReading>& rs =
-              sim_->site_trace(s).readings();
-          size_t& c = cursor[static_cast<size_t>(s)];
-          while (c < rs.size() && rs[c].time <= t) ++c;
-        }
+      // Advance every cursor (a cheap scan over the trace); remote
+      // readings stay pending as trace ranges until the flush below
+      // ships them.
+      for (SiteId s = 0; s < num_warehouses; ++s) {
+        const std::vector<RawReading>& rs = sim_->site_trace(s).readings();
+        size_t& c = cursor[static_cast<size_t>(s)];
+        while (c < rs.size() && rs[c].time <= t) ++c;
       }
-      if (flush_now && options_.pipeline_flush) {
-        // Pipelined boundary: the server's window compute and the remote
-        // sites' batch encodes (the expensive delta + gzip) fan out
-        // together. The encodes read only the immutable simulator trace
-        // and write disjoint encoded[] slots; the server job touches only
-        // site 0 -- race-free. The sends stay serial below in ascending
-        // site order, so payload bytes, seq numbers, and the server's
-        // ingest-before-inference ordering are all unchanged: the overlap
-        // is bit-identical to the serial path by construction.
-        ready.clear();
-        for (size_t s = 1; s < static_cast<size_t>(num_warehouses); ++s) {
-          if (flush_begin[s] < cursor[s]) ready.push_back(s);
-        }
-        executor.Run(ready.size() + 1, [&](size_t i) {
-          if (i == 0) {
-            obs::PhaseTimer span(telemetry_.get(),
-                                 obs::Phase::kWindowCompute, t,
-                                 obs::kFirstSiteTrack);
-            sites_[0]->DeliverArrivals(t);
-            const std::vector<RawReading>& rs =
-                sim_->site_trace(0).readings();
-            if (cursor[0] > begin0) {
-              sites_[0]->ObserveBatch(rs.data() + begin0,
-                                      cursor[0] - begin0);
-            }
-            return;
-          }
-          const size_t s = ready[i - 1];
-          obs::PhaseTimer span(telemetry_.get(), obs::Phase::kFlushOverlap,
-                               t, obs::kFirstSiteTrack + static_cast<int>(s));
-          const std::vector<RawReading>& rs =
-              sim_->site_trace(static_cast<SiteId>(s)).readings();
-          encoded[s] = EncodeReadingBatch(rs.data() + flush_begin[s],
-                                          cursor[s] - flush_begin[s],
-                                          options_.site.compress_level);
-        });
-      } else {
-        // One real processor: the window phase stays on the replay thread.
+      {
         obs::PhaseTimer span(telemetry_.get(), obs::Phase::kWindowCompute,
                              t, obs::kFirstSiteTrack);
         sites_[0]->DeliverArrivals(t);
@@ -500,15 +452,11 @@ void DistributedSystem::Run() {
         for (SiteId s = 1; s < num_warehouses; ++s) {
           const size_t si = static_cast<size_t>(s);
           if (flush_begin[si] == cursor[si]) continue;
-          if (!options_.pipeline_flush) {
-            const std::vector<RawReading>& rs =
-                sim_->site_trace(s).readings();
-            encoded[si] = EncodeReadingBatch(rs.data() + flush_begin[si],
-                                             cursor[si] - flush_begin[si],
-                                             options_.site.compress_level);
-          }
-          network_.Send(s, 0, MessageKind::kRawReadings, encoded[si]);
-          encoded[si].clear();
+          const std::vector<RawReading>& rs = sim_->site_trace(s).readings();
+          network_.Send(s, 0, MessageKind::kRawReadings,
+                        EncodeReadingBatch(rs.data() + flush_begin[si],
+                                           cursor[si] - flush_begin[si],
+                                           options_.site.compress_level));
           flush_begin[si] = cursor[si];
         }
         // With zero link latency the flushed readings are due now; the

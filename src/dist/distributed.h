@@ -135,12 +135,10 @@ struct DistributedOptions {
   /// Per-site resolver caching of directory lookups (invalidated on
   /// moves); repeat resolutions of an unmoved object cost zero wire bytes.
   bool directory_cache = true;
-  /// Centralized mode: overlap the boundary flush encode (delta + gzip of
-  /// each remote site's pending readings) with the server's own window
-  /// compute on the executor pool, instead of encoding serially after it.
-  /// Payload bytes, send order, and seq numbers are unchanged, so results
-  /// are bit-identical either way (executor_test proves it); off exists
-  /// for the determinism matrix and for isolating the serial baseline.
+  /// Ignored: the pipelined centralized flush was removed, and centralized
+  /// mode encodes each remote site's batch serially in the flush loop.
+  /// Kept only because the benchmark workloads still set it; remove once
+  /// they stop.
   bool pipeline_flush = true;
   /// TTL-based resolver-cache expiry in epochs (OnsOptions::cache_ttl);
   /// 0 = exact invalidation. Nonzero values trade staleness for DNS

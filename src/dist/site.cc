@@ -207,39 +207,15 @@ void Site::ObserveBatch(const RawReading* readings, size_t n) {
     pallet_streaming_->ObserveBatch(readings, n);
     return;
   }
-  // Mixed batch: stage the non-item slice in the split arena (rewound per
-  // batch) instead of a heap vector.
+  // Mixed batch: stage the non-item slice in the reused scratch vector.
+  split_scratch_.resize(upper_count);
   // lint:hot-loop-begin(batch-split-rows)
-  RawReading* upper = split_arena_.AllocateArray<RawReading>(upper_count);
   size_t m = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (!readings[i].tag.is_item()) upper[m++] = readings[i];
+    if (!readings[i].tag.is_item()) split_scratch_[m++] = readings[i];
   }
   // lint:hot-loop-end
-  pallet_streaming_->ObserveBatch(upper, m);
-  split_arena_.Reset();
-}
-
-void Site::ObserveBatch(const ReadingColumnsView& view) {
-  streaming_.ObserveBatch(view);
-  if (pallet_streaming_ == nullptr) return;
-  size_t upper_count = 0;
-  for (size_t i = 0; i < view.size; ++i) {
-    if (!view.tag[i].is_item()) ++upper_count;
-  }
-  if (upper_count == 0) return;
-  // The pallet level rebuilds row form for its own buffer either way, so
-  // the split materializes rows in the arena (even in the all-non-item
-  // case -- the column view has no row storage to forward).
-  // lint:hot-loop-begin(batch-split-columns)
-  RawReading* upper = split_arena_.AllocateArray<RawReading>(upper_count);
-  size_t m = 0;
-  for (size_t i = 0; i < view.size; ++i) {
-    if (!view.tag[i].is_item()) upper[m++] = view.Row(i);
-  }
-  // lint:hot-loop-end
-  pallet_streaming_->ObserveBatch(upper, m);
-  split_arena_.Reset();
+  pallet_streaming_->ObserveBatch(split_scratch_.data(), m);
 }
 
 bool Site::HasArrivalsDue(Epoch now) const {

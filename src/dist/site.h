@@ -34,7 +34,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "dist/durability.h"
@@ -136,9 +135,6 @@ class Site {
   /// the event-driven replay, which batches every reading between two
   /// scheduling events instead of delivering one reading per epoch.
   void ObserveBatch(const RawReading* readings, size_t n);
-
-  /// Struct-of-arrays form of ObserveBatch (same contract and results).
-  void ObserveBatch(const ReadingColumnsView& view);
 
   /// Advances local time, running inference at period boundaries and
   /// feeding any attached queries with the newly inferred events (sensor
@@ -258,9 +254,9 @@ class Site {
   SiteDurability* durability_ = nullptr;
   SiteOptions options_;
   /// Scratch for the per-batch non-item split feeding the pallet level;
-  /// rewound at the end of every ObserveBatch, so steady-state batches
-  /// allocate nothing.
-  Arena split_arena_;
+  /// reused across batches, so once it reaches the largest split
+  /// steady-state batches allocate nothing.
+  std::vector<RawReading> split_scratch_;
   StreamingInference streaming_;
   /// Second inference level (pallet containers, case objects); null unless
   /// options_.hierarchical.

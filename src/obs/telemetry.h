@@ -45,10 +45,10 @@ enum class Phase : uint8_t {
   kKernelRead,        ///< socket backend: accept/read/decode pump
   // Fault-tolerance phases (kDriverTrack; appended to keep values stable).
   kCrashRecovery,     ///< rebuild of a crashed site from its raw trace
-  // Pipelined-flush overlap (appended to keep values stable). Runs on a
-  // per-site track: the flush encode of a remote site's batch overlapping
-  // the server's window compute on the executor.
-  kFlushOverlap,      ///< centralized: batch encode overlapped on workers
+  // Never recorded: the pipelined centralized flush it timed was removed.
+  // Kept so later enumerator values and the benchmark's phase manifest
+  // stay stable.
+  kFlushOverlap,      ///< unused; always reads 0
   // Durability phases (dist/durability.h; appended to keep values stable).
   // kWalAppend runs on the driver track (the WAL absorbs inbound frames
   // during the serial drain sweep); kCheckpoint likewise (checkpoints cut

@@ -396,6 +396,62 @@ TEST(HierarchicalTest, PalletResolvesTransitively) {
   EXPECT_GT(resolved, 0);
 }
 
+// Site::ObserveBatch splits each batch for the pallet level three ways:
+// item-only batches forward nothing, all-non-item batches forward as is,
+// and mixed batches forward their non-item slice through a scratch copy.
+// Every branch must leave the site -- both inference levels -- in the
+// state per-reading Observe produces.
+TEST(HierarchicalTest, BatchSplitMatchesPerReadingObserve) {
+  SupplyChainSim sim(ChainConfig(1, 900));
+  sim.Run();
+  SiteOptions options;
+  options.hierarchical = true;
+  options.streaming.inference_period = 300;
+  options.streaming.recent_history = 400;
+  Network batch_net;
+  Network single_net;
+  Site batched(0, &sim.model(), &sim.schedule(), &batch_net, options);
+  Site single(0, &sim.model(), &sim.schedule(), &single_net, options);
+  ASSERT_NE(batched.pallet_streaming(), nullptr);
+
+  const std::vector<RawReading>& rs = sim.site_trace(0).readings();
+  const Epoch split_mixed_from = 450;
+  const Epoch window = 50;
+  size_t cursor = 0;
+  for (Epoch end = window; end <= 900; end += window) {
+    std::vector<RawReading> mixed;
+    while (cursor < rs.size() && rs[cursor].time < end) {
+      mixed.push_back(rs[cursor]);
+      single.Observe(rs[cursor]);
+      ++cursor;
+    }
+    if (end <= split_mixed_from) {
+      std::vector<RawReading> items;
+      std::vector<RawReading> upper;
+      for (const RawReading& r : mixed) {
+        (r.tag.is_item() ? items : upper).push_back(r);
+      }
+      const size_t pallet_before =
+          batched.pallet_streaming()->buffered_readings();
+      batched.ObserveBatch(items.data(), items.size());
+      EXPECT_EQ(batched.pallet_streaming()->buffered_readings(),
+                pallet_before);
+      batched.ObserveBatch(upper.data(), upper.size());
+      EXPECT_EQ(batched.pallet_streaming()->buffered_readings(),
+                pallet_before + upper.size());
+    } else {
+      batched.ObserveBatch(mixed.data(), mixed.size());
+    }
+    batched.AdvanceTo(end);
+    single.AdvanceTo(end);
+    // The checkpoint carries both levels' EncodeSnapshot bytes.
+    ASSERT_EQ(batched.EncodeCheckpoint(end), single.EncodeCheckpoint(end))
+        << "diverged by epoch " << end;
+  }
+  EXPECT_GT(single.pallet_streaming()->runs(), 0);
+  EXPECT_GT(single.pallet_streaming()->buffered_readings(), 0u);
+}
+
 TEST(DistributedTest, DirectoryTrafficIsCharged) {
   SupplyChainSim sim(ChainConfig(3, 1200));
   sim.Run();
@@ -638,7 +694,7 @@ TEST(DistributedTest, LinkLatencyKeepsWireBytesInvariant) {
             instant.network().in_flight_messages());
 }
 
-// ---- Reading-batch codec + SoA column view (the PR 9 hot path) ----
+// ---- Reading-batch codec (the centralized flush payload) ----
 
 std::vector<RawReading> SampleBatch() {
   std::vector<RawReading> rs;
@@ -673,38 +729,6 @@ TEST(ReadingBatchTest, RoundTripsInSealCanonicalOrder) {
   std::sort(rs.begin(), rs.end(), RawReadingOrder());
   rs.erase(std::unique(rs.begin(), rs.end()), rs.end());
   EXPECT_EQ(decoded.value(), rs);
-}
-
-TEST(ReadingBatchTest, ColumnsViewMatchesRowIngest) {
-  const std::vector<RawReading> rs = SampleBatch();
-  std::vector<Epoch> time;
-  std::vector<TagId> tag;
-  std::vector<LocationId> reader;
-  for (const RawReading& r : rs) {
-    time.push_back(r.time);
-    tag.push_back(r.tag);
-    reader.push_back(r.reader);
-  }
-  const ReadingColumnsView view{time.data(), tag.data(), reader.data(),
-                                rs.size()};
-  for (size_t i = 0; i < rs.size(); ++i) {
-    EXPECT_EQ(view.Row(i), rs[i]) << i;
-  }
-  // Column-view ingest and row ingest seal to the same readings and the
-  // same per-tag histories.
-  Trace by_rows;
-  Trace by_view;
-  by_rows.Append(rs.data(), rs.size());
-  by_view.Append(view);
-  by_rows.Seal();
-  by_view.Seal();
-  ASSERT_EQ(by_rows.readings(), by_view.readings());
-  for (TagId t : by_rows.Tags()) {
-    const TagReadSpan a = by_rows.HistoryOf(t);
-    const TagReadSpan b = by_view.HistoryOf(t);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
 }
 
 }  // namespace

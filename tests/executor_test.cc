@@ -80,6 +80,29 @@ SupplyChainConfig DeterminismConfig() {
   return cfg;
 }
 
+// The Q1/Q2 inputs of the query-bearing determinism matrices: every item
+// is frozen food in a plain case, under one seeded sensor stream.
+struct QueryInputs {
+  ProductCatalog catalog;
+  std::vector<SensorReading> sensors;
+};
+
+QueryInputs MakeQueryInputs(const SupplyChainSim& sim) {
+  QueryInputs in;
+  for (TagId item : sim.all_items()) {
+    in.catalog.RegisterProduct(item,
+                               ProductInfo{"frozen_food", true, false, false});
+  }
+  for (TagId c : sim.all_cases()) {
+    in.catalog.RegisterContainer(c, ContainerInfo{ContainerClass::kPlain});
+  }
+  Rng rng(5);
+  in.sensors = GenerateSensorStream(SensorConfig{},
+                                    sim.layout().num_locations(),
+                                    sim.config().horizon, rng);
+  return in;
+}
+
 DistributedOptions DeterminismOptions(int num_threads,
                                       int directory_shards = 0,
                                       bool hierarchical = false) {
@@ -179,18 +202,7 @@ TEST(DeterminismTest, ThreadAndShardMatrixMatchesBitForBit) {
   sim.Run();
   ASSERT_FALSE(sim.transfers().empty());
 
-  ProductCatalog catalog;
-  for (TagId item : sim.all_items()) {
-    catalog.RegisterProduct(item,
-                            ProductInfo{"frozen_food", true, false, false});
-  }
-  for (TagId c : sim.all_cases()) {
-    catalog.RegisterContainer(c, ContainerInfo{ContainerClass::kPlain});
-  }
-  SensorConfig scfg;
-  Rng rng(5);
-  auto sensors = GenerateSensorStream(scfg, sim.layout().num_locations(),
-                                      cfg.horizon, rng);
+  const QueryInputs q = MakeQueryInputs(sim);
 
   const std::vector<int> kThreads = {0, 1, 4};
   const std::vector<int> kShards = {1, 4};
@@ -202,7 +214,7 @@ TEST(DeterminismTest, ThreadAndShardMatrixMatchesBitForBit) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " shards=" + std::to_string(shards));
       auto sys = std::make_unique<DistributedSystem>(
-          &sim, DeterminismOptions(threads, shards), &catalog, &sensors);
+          &sim, DeterminismOptions(threads, shards), &q.catalog, &q.sensors);
       sys->Run();
       if (reference == nullptr) {
         ASSERT_FALSE(sys->snapshots().empty());
@@ -229,8 +241,8 @@ TEST(DeterminismTest, ThreadAndShardMatrixMatchesBitForBit) {
     SCOPED_TRACE("transport=socket threads=" + std::to_string(threads));
     DistributedOptions opts = DeterminismOptions(threads, /*shards=*/4);
     opts.transport = TransportKind::kSocket;
-    auto sys = std::make_unique<DistributedSystem>(&sim, opts, &catalog,
-                                                   &sensors);
+    auto sys = std::make_unique<DistributedSystem>(&sim, opts, &q.catalog,
+                                                   &q.sensors);
     sys->Run();
     EXPECT_EQ(sys->network().transport_kind(), TransportKind::kSocket);
     ExpectBitIdentical(*references[1], *sys, sim);
@@ -274,18 +286,7 @@ TEST(DeterminismTest, HierarchicalTransportThreadMatrixMatchesBitForBit) {
   sim.Run();
   ASSERT_FALSE(sim.transfers().empty());
 
-  ProductCatalog catalog;
-  for (TagId item : sim.all_items()) {
-    catalog.RegisterProduct(item,
-                            ProductInfo{"frozen_food", true, false, false});
-  }
-  for (TagId c : sim.all_cases()) {
-    catalog.RegisterContainer(c, ContainerInfo{ContainerClass::kPlain});
-  }
-  SensorConfig scfg;
-  Rng rng(5);
-  auto sensors = GenerateSensorStream(scfg, sim.layout().num_locations(),
-                                      cfg.horizon, rng);
+  const QueryInputs q = MakeQueryInputs(sim);
 
   std::unique_ptr<DistributedSystem> reference;
   for (TransportKind transport :
@@ -296,8 +297,8 @@ TEST(DeterminismTest, HierarchicalTransportThreadMatrixMatchesBitForBit) {
       DistributedOptions opts = DeterminismOptions(threads, /*shards=*/4,
                                                    /*hierarchical=*/true);
       opts.transport = transport;
-      auto sys = std::make_unique<DistributedSystem>(&sim, opts, &catalog,
-                                                     &sensors);
+      auto sys = std::make_unique<DistributedSystem>(&sim, opts, &q.catalog,
+                                                     &q.sensors);
       sys->Run();
       if (reference == nullptr) {
         ASSERT_FALSE(sys->snapshots().empty());
@@ -362,66 +363,41 @@ TEST(DeterminismTest, TelemetryOnOffMatchesBitForBit) {
   std::remove(trace_path.c_str());
 }
 
-// PR 9 determinism matrix: the hot-path machinery -- the arena-backed
-// window index (StreamingOptions::arena_index), SoA columns
-// (soa_columns), and the pipelined centralized flush (pipeline_flush) --
-// must be pure optimization. Every toggle combination, alone and
-// together, across threads {0, 4} and both transports, in both
-// processing modes, must match the everything-off serial replay bit for
-// bit (alerts, accuracy samples, per-kind/per-link bytes, directory
-// counters, beliefs). CI additionally re-runs this binary with
-// RFID_TRANSPORT=socket and under ASan/TSan.
-TEST(DeterminismTest, HotPathTogglesMatchBitForBit) {
+// Centralized determinism matrix: one server runs all inference over the
+// merged stream, while the remote sites' boundary batches cross the
+// network. Threads {0, 4} x {in-process, socket} must all match the serial
+// in-process replay bit for bit (alerts, accuracy samples, per-kind and
+// per-link bytes, beliefs). The other matrices here run distributed mode
+// only. CI additionally re-runs this binary with RFID_TRANSPORT=socket and
+// under ASan/TSan.
+TEST(DeterminismTest, CentralizedThreadTransportMatrixMatchesBitForBit) {
   SupplyChainConfig cfg = DeterminismConfig();
   SupplyChainSim sim(cfg);
   sim.Run();
-  ASSERT_FALSE(sim.transfers().empty());
 
-  struct Toggles {
-    bool arena;
-    bool soa;
-    bool pipeline;
-    int threads;
-    TransportKind transport;
+  const QueryInputs q = MakeQueryInputs(sim);
+
+  auto run = [&](int threads, TransportKind transport) {
+    DistributedOptions opts = DeterminismOptions(threads);
+    opts.mode = ProcessingMode::kCentralized;
+    opts.transport = transport;
+    auto sys = std::make_unique<DistributedSystem>(&sim, opts, &q.catalog,
+                                                   &q.sensors);
+    sys->Run();
+    EXPECT_EQ(sys->network().transport_kind(), transport);
+    return sys;
   };
-  const std::vector<Toggles> matrix = {
-      {true, false, false, 0, TransportKind::kInProcess},
-      {false, true, false, 0, TransportKind::kInProcess},
-      {false, false, true, 0, TransportKind::kInProcess},
-      {true, true, true, 0, TransportKind::kInProcess},
-      {false, false, false, 4, TransportKind::kInProcess},
-      {true, true, true, 4, TransportKind::kInProcess},
-      {true, true, true, 0, TransportKind::kSocket},
-      {true, true, true, 4, TransportKind::kSocket},
-  };
-  for (ProcessingMode mode :
-       {ProcessingMode::kCentralized, ProcessingMode::kDistributed}) {
-    auto run = [&](const Toggles& tg) {
-      DistributedOptions opts = DeterminismOptions(tg.threads);
-      opts.mode = mode;
-      opts.transport = tg.transport;
-      opts.site.streaming.arena_index = tg.arena;
-      opts.site.streaming.soa_columns = tg.soa;
-      opts.pipeline_flush = tg.pipeline;
-      auto sys = std::make_unique<DistributedSystem>(&sim, opts);
-      sys->Run();
-      return sys;
-    };
-    const auto reference =
-        run({false, false, false, 0, TransportKind::kInProcess});
-    ASSERT_FALSE(reference->snapshots().empty());
-    if (mode == ProcessingMode::kCentralized) {
-      ASSERT_GT(reference->network().BytesOfKind(MessageKind::kRawReadings),
-                0);
-    }
-    for (const Toggles& tg : matrix) {
-      SCOPED_TRACE("mode=" + ToString(mode) +
-                   " arena=" + std::to_string(tg.arena) +
-                   " soa=" + std::to_string(tg.soa) +
-                   " pipeline=" + std::to_string(tg.pipeline) +
-                   " threads=" + std::to_string(tg.threads) +
-                   " transport=" + ToString(tg.transport));
-      ExpectBitIdentical(*reference, *run(tg), sim);
+  const auto reference = run(0, TransportKind::kInProcess);
+  ASSERT_FALSE(reference->snapshots().empty());
+  EXPECT_FALSE(reference->AllAlerts(0).empty());
+  ASSERT_GT(reference->network().BytesOfKind(MessageKind::kRawReadings), 0);
+  for (TransportKind transport :
+       {TransportKind::kInProcess, TransportKind::kSocket}) {
+    for (int threads : {0, 4}) {
+      if (threads == 0 && transport == TransportKind::kInProcess) continue;
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " transport=" + ToString(transport));
+      ExpectBitIdentical(*reference, *run(threads, transport), sim);
     }
   }
 }

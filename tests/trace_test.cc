@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/serde.h"
 #include "trace/ground_truth.h"
@@ -264,7 +266,7 @@ TEST(ReadingTest, ToStringFormats) {
             "(3, item:1, loc 2, container case:4)");
 }
 
-// ---- Arena-backed CSR index + SoA columns (the PR 9 window layout) ----
+// ---- CSR window index: owned storage across copies and moves ----
 
 Trace ScrambledTrace(int tags, int epochs) {
   Trace t;
@@ -289,60 +291,85 @@ void ExpectSameIndex(const Trace& a, const Trace& b) {
   }
 }
 
-TEST(TraceArenaTest, ArenaIndexMatchesHeapIndex) {
-  Trace heap = ScrambledTrace(12, 50);
-  Trace arena_backed = heap;
-  Arena arena;
-  arena_backed.SetArena(&arena);
-  arena_backed.EnableColumns(true);
-  heap.Seal();
-  arena_backed.Seal();
-  EXPECT_GT(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(heap.readings(), arena_backed.readings());
-  ExpectSameIndex(heap, arena_backed);
-  // Columns mirror the canonical rows exactly.
-  ASSERT_TRUE(arena_backed.has_columns());
-  const ReadingColumnsView cols = arena_backed.columns();
-  ASSERT_EQ(cols.size, arena_backed.size());
-  for (size_t i = 0; i < cols.size; ++i) {
-    EXPECT_EQ(cols.Row(i), arena_backed.readings()[i]) << i;
+// Reference histories built the slow way: one vector per tag, filled in
+// canonical order.
+void ExpectIndexMatchesReadings(const Trace& t) {
+  ASSERT_TRUE(t.sealed());
+  std::map<TagId, std::vector<TagRead>> expected;
+  for (const RawReading& r : t.readings()) {
+    expected[r.tag].push_back(TagRead{r.time, r.reader});
   }
-  // Reseal after more readings: the arena is rewound and reused, and the
-  // rebuilt index still matches a heap-indexed twin.
-  const RawReading extra{999, TagId::Item(3), 2};
-  heap.Add(extra);
-  arena_backed.Add(extra);
-  heap.Seal();
-  arena_backed.Seal();
-  ExpectSameIndex(heap, arena_backed);
+  std::vector<TagId> tags;
+  for (const auto& [tag, unused] : expected) tags.push_back(tag);
+  ASSERT_EQ(t.Tags(), tags);
+  for (const auto& [tag, history] : expected) {
+    const TagReadSpan h = t.HistoryOf(tag);
+    ASSERT_EQ(h.size(), history.size());
+    for (size_t i = 0; i < h.size(); ++i) EXPECT_EQ(h[i], history[i]);
+  }
+  EXPECT_TRUE(t.HistoryOf(TagId::Pallet(12345)).empty());
 }
 
-TEST(TraceArenaTest, CopyDoesNotShareTheArena) {
-  Arena arena;
+TEST(TraceIndexTest, IndexMatchesPerTagHistoriesAcrossReseals) {
+  Trace t = ScrambledTrace(12, 50);
+  t.Seal();
+  ExpectIndexMatchesReadings(t);
+  // Reseal after more readings, including a brand-new tag: the rebuilt
+  // index reuses the same storage and still matches.
+  t.Add(RawReading{999, TagId::Item(3), 2});
+  t.Add(RawReading{1000, TagId::Item(77), 1});
+  t.Seal();
+  ExpectIndexMatchesReadings(t);
+}
+
+TEST(TraceIndexTest, CopySurvivesResealOfItsSource) {
   Trace original = ScrambledTrace(8, 30);
-  original.SetArena(&arena);
   original.Seal();
-  const Trace copy = original;  // re-derives its index off-arena
+  const Trace copy = original;
   ExpectSameIndex(original, copy);
-  // Resealing the original rewinds the arena; the copy's index must
-  // survive that (it owns its backing storage).
+  // Resealing the original rebuilds its index; the copy owns its own
+  // storage, so its spans are untouched.
+  const TagReadSpan before = copy.HistoryOf(TagId::Item(0));
   original.Add(RawReading{500, TagId::Item(0), 1});
   original.Seal();
   const TagReadSpan h = copy.HistoryOf(TagId::Item(0));
   ASSERT_FALSE(h.empty());
+  EXPECT_EQ(h.data(), before.data());
   EXPECT_LT(h.back().time, 500);
+  ExpectIndexMatchesReadings(copy);
+
+  Trace assigned;
+  assigned = original;
+  ExpectSameIndex(original, assigned);
+  EXPECT_EQ(assigned.HistoryOf(TagId::Item(0)).back().time, 500);
 }
 
-TEST(TraceArenaTest, MoveTransfersTheIndexIntact) {
+TEST(TraceIndexTest, MoveKeepsTheIndex) {
   Trace original = ScrambledTrace(8, 30);
-  original.EnableColumns(true);
   original.Seal();
   const Trace reference = original;
-  const Trace moved = std::move(original);
+  const TagRead* data = original.HistoryOf(TagId::Item(1)).data();
+  Trace moved = std::move(original);
   EXPECT_TRUE(moved.sealed());
   ExpectSameIndex(reference, moved);
-  ASSERT_TRUE(moved.has_columns());
-  EXPECT_EQ(moved.columns().size, moved.size());
+  // The storage moved with it: spans taken before the move stay valid.
+  EXPECT_EQ(moved.HistoryOf(TagId::Item(1)).data(), data);
+
+  Trace assigned;
+  assigned = std::move(moved);
+  EXPECT_TRUE(assigned.sealed());
+  ExpectSameIndex(reference, assigned);
+}
+
+TEST(TraceIndexTest, SelfAssignmentIsSafe) {
+  Trace t = ScrambledTrace(8, 30);
+  t.Seal();
+  const Trace reference = t;
+  Trace& alias = t;
+  t = alias;
+  EXPECT_TRUE(t.sealed());
+  ExpectSameIndex(reference, t);
+  ExpectIndexMatchesReadings(t);
 }
 
 }  // namespace
