@@ -8,11 +8,14 @@
 // layer delivers exactly-once, so inference sees the same migrations; only
 // arrival timing shifts within an epoch) while total bytes grow with the
 // drop rate -- the reliability tax is retransmitted frames plus the ack
-// stream. The crash row completes with finite error and visible recovery
-// traffic (kRecoveryRequest plus re-sent migration envelopes).
+// stream. The crash row completes with finite error and one durable
+// recovery: the crashed site restores its own checkpoint + WAL (replayed
+// frames and WAL bytes are reported) with no peer traffic.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -106,10 +109,10 @@ int Main() {
       "row.\n\n");
 
   // Crash scenario: one mid-window crash on the lossy fabric. The victim
-  // is the busiest migration target up to the crash epoch, so the
-  // recovery path visibly re-requests and re-receives pre-crash envelopes
-  // from its peers; recovery traffic and rebuild wall-time land in the
-  // counters below.
+  // is the busiest migration target up to the crash epoch, so its WAL
+  // holds pre-crash envelopes to replay; the durable store lives in a
+  // scratch directory removed after the run, and the replay volume and
+  // rebuild wall-time land in the counters below.
   {
     const Epoch crash_at = 3 * horizon / 4;
     const Epoch recover_at = std::min<Epoch>(horizon, crash_at + 300);
@@ -128,14 +131,23 @@ int Main() {
     opts.network.faults.drop = 0.02;
     opts.network.faults.seed = 777;
     opts.crashes.push_back(CrashEvent{victim, crash_at, recover_at});
+    std::string scratch = std::filesystem::temp_directory_path().string() +
+                          "/rfid_bench_fault_XXXXXX";
+    if (mkdtemp(scratch.data()) == nullptr) {
+      std::fprintf(stderr, "mkdtemp failed: %s\n", scratch.c_str());
+      return 1;
+    }
+    opts.durability.dir = scratch;
     DistributedSystem sys(&sim, opts);
     sys.Run();
+    std::error_code ec;
+    std::filesystem::remove_all(scratch, ec);
 
     const double err = sys.AverageContainmentErrorPercent(/*warmup=*/300);
     const Network& net = sys.network();
     const obs::MetricsRegistry& reg = sys.telemetry()->registry();
-    const int64_t resent = CounterValue(reg, "recovery/envelopes_resent");
-    const int64_t resent_bytes = CounterValue(reg, "recovery/resent_bytes");
+    const int64_t recoveries = CounterValue(reg, "crash/durable_recoveries");
+    const DurabilityStats durability = sys.DurabilityTotals();
     const int64_t recovery_ns =
         sys.telemetry()->phase_histogram(obs::Phase::kCrashRecovery)
             .Snapshot()
@@ -145,27 +157,24 @@ int Main() {
         victim, static_cast<long long>(crash_at),
         static_cast<long long>(recover_at));
     std::printf(
-        "crashes=%lld error=%.2f%% request_bytes=%lld envelopes_resent=%lld\n"
-        "resent_bytes=%lld rebuild_ms=%.2f crash_frames_lost=%lld\n\n",
+        "crashes=%lld error=%.2f%% durable_recoveries=%lld\n"
+        "replayed_frames=%lld wal_bytes=%lld rebuild_ms=%.2f\n\n",
         static_cast<long long>(CounterValue(reg, "crash/crashes")), err,
-        static_cast<long long>(
-            net.BytesOfKind(MessageKind::kRecoveryRequest)),
-        static_cast<long long>(resent), static_cast<long long>(resent_bytes),
-        static_cast<double>(recovery_ns) / 1e6,
-        static_cast<long long>(net.reliable_stats().crash_frames_lost));
+        static_cast<long long>(recoveries),
+        static_cast<long long>(durability.replayed_frames),
+        static_cast<long long>(durability.wal_bytes),
+        static_cast<double>(recovery_ns) / 1e6);
 
     obs::JsonValue row = obs::JsonValue::Object();
     row.Set("drop", 0.02);
     row.Set("crashes", CounterValue(reg, "crash/crashes"));
     row.Set("containment_error_percent", err);
     row.Set("error_is_finite", !std::isnan(err));
-    row.Set("recovery_request_bytes",
-            net.BytesOfKind(MessageKind::kRecoveryRequest));
-    row.Set("envelopes_resent", resent);
-    row.Set("resent_bytes", resent_bytes);
+    row.Set("durable_recoveries", recoveries);
+    row.Set("replayed_frames", durability.replayed_frames);
+    row.Set("wal_bytes", durability.wal_bytes);
     row.Set("rebuild_ms", static_cast<double>(recovery_ns) / 1e6);
     row.Set("retransmits", net.reliable_stats().retransmits);
-    row.Set("crash_frames_lost", net.reliable_stats().crash_frames_lost);
     report.AddRow("crash", std::move(row));
     report.AddMetrics(reg);
   }

@@ -77,12 +77,13 @@ rm -f build/trace_ci.json
 echo "==> Socket transport: distributed suites over real loopback sockets"
 # smoke_bench_hierarchical rides along: the hierarchical replay's own
 # {in-process, socket} x threads determinism matrix, re-run with every
-# Network defaulting to the socket backend.
+# Network defaulting to the socket backend. durability_test's crash-point
+# sweep re-runs here too: crash recovery must not depend on the backend.
 (cd build && RFID_TRANSPORT=socket \
-  ctest --output-on-failure \
-  -R '^(dist_test|executor_test|frame_test|fault_test|smoke_bench_hierarchical)$')
+  ctest --output-on-failure -R \
+  '^(dist_test|durability_test|executor_test|frame_test|fault_test|smoke_bench_hierarchical)$')
 
-echo "==> Faults: lossy smoke replay (drop 0.05 + reorder + one crash)"
+echo "==> Faults: lossy smoke replay (drop 0.05 + reorder + one durable crash)"
 # The fault-sweep bench on the real lossy fabric: the run must complete,
 # accuracy must stay finite (the crash row records error_is_finite), the
 # retransmit counters must be nonzero wherever frames were dropped, and
@@ -104,7 +105,8 @@ for row in sweep:
 crash = report["rows"]["crash"][0]
 assert crash["crashes"] >= 1
 assert crash["error_is_finite"]
-assert crash["recovery_request_bytes"] > 0
+assert crash["durable_recoveries"] >= 1
+assert "recovery_request_bytes" not in crash
 assert crash["retransmits"] > 0
 print("fault sweep: %d rows + crash scenario (err=%.2f%%) -- OK"
       % (len(sweep), crash["containment_error_percent"]))
@@ -115,10 +117,9 @@ echo "==> Durability: durable example replay + log_verify over its audit logs"
 # audit logs) into a scoped scratch directory, then the log_verify CLI
 # over every site's audit log: structural decode, chain recomputation from
 # genesis, and the per-site HMAC must all hold. The env var is scoped to
-# this one run -- exporting it globally would silently flip every crash
-# test onto the durable path and void their kRecoveryRequest assertions
-# (durability_test covers that path; dist_test/fault_test must keep
-# covering the peer-assisted one).
+# this one run: exported globally it would point every replay in the
+# suite, across parallel ctest jobs, at one shared directory. Crash tests
+# create their own scratch directories.
 DUR_DIR="$(mktemp -d)"
 (cd build && RFID_DURABILITY_DIR="${DUR_DIR}" RFID_DURABILITY_FSYNC=off \
   ./supply_chain_distributed >/dev/null)

@@ -8,7 +8,6 @@
 
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "common/serde.h"
 #include "common/status.h"
 
 namespace rfid {
@@ -100,24 +99,23 @@ DistributedSystem::DistributedSystem(
     ons_.AttachNetwork(&network_);
   }
   // Crash schedules only make sense against the distributed deployment
-  // (the centralized server has no peer to recover from). Without
-  // durability they switch every site into retain-exports mode so peers
-  // can answer a recovering site's kRecoveryRequest; a durable site
-  // recovers from its own disk instead, needs no retained copies, and may
-  // restart within the crash epoch (recover_at == at) at any CrashPhase.
+  // (the centralized server is the whole system), and a crashed site
+  // recovers from its own disk, so they require durability. A durable
+  // site may restart within the crash epoch (recover_at == at) at any
+  // CrashPhase.
   const bool durable_storage = options_.durability.enabled();
   if (!options_.crashes.empty()) {
     RFID_CHECK_OK(centralized()
                       ? Status::InvalidArgument(
                             "crash schedule requires distributed mode")
                       : Status::OK());
+    RFID_CHECK_OK(durable_storage ? Status::OK()
+                                  : Status::InvalidArgument(
+                                        "crash schedule requires durability"));
     Epoch prev_at = 0;
     for (const CrashEvent& c : options_.crashes) {
       const bool ok = c.site >= 0 && c.site < num_processors && c.at > 0 &&
-                      (durable_storage ? c.recover_at >= c.at
-                                       : c.recover_at > c.at) &&
-                      c.at >= prev_at &&
-                      (durable_storage || c.phase == CrashPhase::kMidWindow);
+                      c.recover_at >= c.at && c.at >= prev_at;
       RFID_CHECK_OK(ok ? Status::OK()
                        : Status::InvalidArgument("invalid crash schedule"));
       prev_at = c.at;
@@ -132,7 +130,6 @@ DistributedSystem::DistributedSystem(
                           : Status::OK());
       }
     }
-    if (!durable_storage) options_.site.retain_exports = true;
   }
   // Durable stores open before the sites so MakeSite can attach them; the
   // stores outlive any individual Site object (a crashed site's
@@ -289,19 +286,15 @@ void DistributedSystem::Run() {
     network_.AdvanceClock(t);
     ons_.AdvanceClock(t);
 
-    // -- Serial: scheduled failures. Non-durable recoveries mark the site
-    // up before the drain (so the frames that queued up during the outage
-    // deliver into the replacement process this very event); durable
-    // recoveries stay marked down through the drain -- the replacement
-    // must restore its checkpoint and WAL before any backlog applies, so
-    // RecoverSiteDurable drains the fabric itself afterwards. Mid-window
-    // crashes strike before the drain (the dead process never sees this
-    // epoch's frames); post-drain and mid-flush kills defer until after
-    // the sweep and its WAL flush.
+    // -- Serial: scheduled failures. Recovering sites stay marked down
+    // through the drain -- the replacement must restore its checkpoint
+    // and WAL before any backlog applies, so RecoverSite drains the
+    // fabric itself afterwards. Mid-window crashes strike before the
+    // drain (the dead process never sees this epoch's frames); post-drain
+    // and mid-flush kills defer until after the sweep and its WAL flush.
     recovered.clear();
     for (auto it = outstanding.begin(); it != outstanding.end();) {
       if (it->recover_at <= t) {
-        if (!durable()) network_.SetSiteDown(it->site, false);
         recovered.push_back(it->site);
         it = outstanding.erase(it);
       } else {
@@ -315,7 +308,7 @@ void DistributedSystem::Run() {
       if (c.phase == CrashPhase::kMidWindow) {
         CrashSite(c.site, c.at);
         if (c.recover_at <= t) {
-          recovered.push_back(c.site);  // immediate restart (durable only)
+          recovered.push_back(c.site);  // immediate restart
         } else {
           outstanding.push_back(c);
         }
@@ -358,12 +351,8 @@ void DistributedSystem::Run() {
       }
     }
     for (SiteId s : recovered) {
-      if (durable()) {
-        network_.SetSiteDown(s, false);
-        RecoverSiteDurable(s, t);
-      } else {
-        RecoverSite(s, t);
-      }
+      network_.SetSiteDown(s, false);
+      RecoverSite(s, t);
     }
 
     // -- Serial: ownership + directory bookkeeping due at t.
@@ -503,9 +492,9 @@ void DistributedSystem::Run() {
           // the site that holds it.
           ons_.Resolve(tr.pallet, tr.to != kNoSite ? tr.to : tr.from);
           const SiteId from = tr.from;
-          // A transfer departing a crashed site exports nothing: the state
-          // died with the process, and the destination honestly starts
-          // cold for that group.
+          // A transfer departing a crashed site exports nothing now: the
+          // state died with the process, and RecoverSite's catch-up
+          // replay exports it from the restored checkpoint + WAL.
           if (from >= 0 && from < static_cast<SiteId>(sites_.size()) &&
               !network_.IsSiteDown(from)) {
             sites_[static_cast<size_t>(from)]->ExportTransfer(tr);
@@ -614,13 +603,12 @@ void DistributedSystem::CrashSite(SiteId s, Epoch at) {
         sites_[static_cast<size_t>(s)]->BelievedContainer(tag);
   }
   crash_at_[s] = at;
-  // Without durability the fabric purges every frame addressed to the
-  // dead process (they had nowhere durable to land). With it, only the
-  // process died: in-flight frames wait out the outage and deliver into
-  // the replacement after its restore -- and any WAL/audit bytes the dead
-  // process had buffered but not fsynced are honestly lost.
-  network_.SetSiteDown(s, true, /*purge=*/!durable());
-  if (durable()) durabilities_[static_cast<size_t>(s)]->DropPending();
+  // Only the process died: in-flight frames wait out the outage in the
+  // fabric and deliver into the replacement after its restore -- and any
+  // WAL/audit bytes the dead process had buffered but not fsynced are
+  // honestly lost.
+  network_.SetSiteDown(s, true);
+  durabilities_[static_cast<size_t>(s)]->DropPending();
   if (telemetry_ != nullptr) {
     telemetry_->registry().GetCounter("crash/crashes")->Add(1);
   }
@@ -630,95 +618,6 @@ void DistributedSystem::CrashSite(SiteId s, Epoch at) {
 }
 
 void DistributedSystem::RecoverSite(SiteId s, Epoch t) {
-  obs::PhaseTimer span(telemetry_.get(), obs::Phase::kCrashRecovery, t);
-  auto cit = crash_at_.find(s);
-  const Epoch crashed_at = cit == crash_at_.end() ? t : cit->second;
-  if (cit != crash_at_.end()) crash_at_.erase(cit);
-
-  // Ask every live peer for the migration state it sent us strictly
-  // before the crash (what queued during the outage survived in the
-  // fabric and needs no resend). With zero link latency the round trip
-  // completes inside this event: the requests deliver, the peers re-send,
-  // and the envelopes land in the replacement's pending queues before the
-  // trace replay below installs them at their original arrival boundaries.
-  // Lossy links may defer parts of the round trip to later drains -- the
-  // site converges as the retransmissions land.
-  BufferWriter w;
-  w.PutVarint(static_cast<uint64_t>(crashed_at));
-  const std::vector<uint8_t> request = w.Release();
-  for (SiteId p = 0; p < static_cast<SiteId>(sites_.size()); ++p) {
-    if (p == s || network_.IsSiteDown(p)) continue;
-    network_.Send(s, p, MessageKind::kRecoveryRequest, request);
-  }
-  for (SiteId p = 0; p < static_cast<SiteId>(sites_.size()); ++p) {
-    if (p == s || network_.IsSiteDown(p)) continue;
-    network_.DeliverDue(p, t);
-  }
-  network_.DeliverDue(s, t);
-
-  // Replay the site's own durable inputs through every inference boundary
-  // before t, interleaving the local side effects of the exports the dead
-  // process already sent (DropTransferState) at their original positions.
-  // The engines re-run the same boundaries over the same (re-sorted)
-  // readings with the same imports installed at the same boundaries, so
-  // at fault rate 0 the rebuilt state is bit-identical to the pre-crash
-  // process's. The current event t itself is handled by the normal window
-  // and inference phases that follow this call.
-  const Epoch period = options_.site.streaming.inference_period;
-  std::vector<const ObjectTransfer*> departs;
-  for (const ObjectTransfer& tr : sim_->transfers()) {
-    if (tr.from == s && tr.depart < t) departs.push_back(&tr);
-  }
-  std::stable_sort(departs.begin(), departs.end(),
-                   [](const ObjectTransfer* a, const ObjectTransfer* b) {
-                     return a->depart < b->depart;
-                   });
-  Site* site = sites_[static_cast<size_t>(s)].get();
-  const std::vector<RawReading>& rs = sim_->site_trace(s).readings();
-  size_t cur = 0;
-  size_t di = 0;
-  auto observe_to = [&](Epoch b) {
-    const size_t begin = cur;
-    while (cur < rs.size() && rs[cur].time <= b) ++cur;
-    site->ObserveBatch(rs.data() + begin, cur - begin);
-  };
-  auto departs_to = [&](Epoch b, bool inclusive) {
-    while (di < departs.size() &&
-           (inclusive ? departs[di]->depart <= b : departs[di]->depart < b)) {
-      site->DropTransferState(*departs[di]);
-      ++di;
-    }
-  };
-  if (period > 0) {
-    for (Epoch b = period; b < t; b += period) {
-      // Departures strictly before a boundary precede its run; departures
-      // exactly at it follow the run (the live serial-phase ordering).
-      departs_to(b, /*inclusive=*/false);
-      site->DeliverArrivals(b);
-      observe_to(b);
-      site->AdvanceTo(b);
-      departs_to(b, /*inclusive=*/true);
-    }
-  }
-  departs_to(t - 1, /*inclusive=*/true);
-  site->DeliverArrivals(t - 1);
-  observe_to(t - 1);
-  cursors_[static_cast<size_t>(s)] = cur;
-
-  // The site answers live again: drop every degraded entry whose owner is
-  // back up (entries for tags owned by a still-down site stay).
-  // lint:allow(unordered-iter): pure per-key filter; surviving set is
-  // independent of visit order.
-  for (auto it = degraded_beliefs_.begin(); it != degraded_beliefs_.end();) {
-    auto o = owner_.find(it->first);
-    const bool keep = o != owner_.end() && o->second >= 0 &&
-                      o->second < static_cast<SiteId>(sites_.size()) &&
-                      network_.IsSiteDown(o->second);
-    it = keep ? std::next(it) : degraded_beliefs_.erase(it);
-  }
-}
-
-void DistributedSystem::RecoverSiteDurable(SiteId s, Epoch t) {
   obs::PhaseTimer span(telemetry_.get(), obs::Phase::kCrashRecovery, t);
   auto cit = crash_at_.find(s);
   const Epoch crashed_at = cit == crash_at_.end() ? t : cit->second;
@@ -753,14 +652,18 @@ void DistributedSystem::RecoverSiteDurable(SiteId s, Epoch t) {
   // the uncrashed site would have accumulated.
   network_.DeliverDue(s, t);
 
-  // 3. Replay the site's own trace boundaries in (C, t), the same
-  // interleave as the non-durable rebuild -- except that a transfer that
-  // departed while the process was down was never exported at all, so
-  // the catch-up exports it for real: the destination installs from the
-  // envelope's arrival boundary, and with an all-zero FaultModel the run
-  // stays bit-identical to the uncrashed one even for departures during
-  // the outage. Departures the dead process already exported re-drop
-  // locally (DropTransferState), never re-send.
+  // 3. Replay the site's own trace boundaries in (C, t), interleaving the
+  // departures at their original positions: strictly-before-a-boundary
+  // departures precede its run, departures exactly at it follow the run
+  // (the live serial-phase ordering). The engines re-run the same
+  // boundaries over the same (re-sorted) readings with the same imports,
+  // so the rebuilt state is the pre-crash process's. Departures the dead
+  // process already exported re-drop locally (DropTransferState), never
+  // re-send; a transfer that departed while the process was down was
+  // never exported at all, so the catch-up exports it for real: the
+  // destination installs from the envelope's arrival boundary, and with
+  // an all-zero FaultModel the run stays bit-identical to the uncrashed
+  // one even for departures during the outage.
   d->set_replaying(true);
   const Epoch period = options_.site.streaming.inference_period;
   std::vector<const ObjectTransfer*> departs;
@@ -822,7 +725,8 @@ void DistributedSystem::RecoverSiteDurable(SiteId s, Epoch t) {
     telemetry_->registry().GetCounter("crash/durable_recoveries")->Add(1);
   }
 
-  // The site answers live again (same cleanup as the peer-assisted path).
+  // The site answers live again: drop every degraded entry whose owner is
+  // back up (entries for tags owned by a still-down site stay).
   // lint:allow(unordered-iter): pure per-key filter; surviving set is
   // independent of visit order.
   for (auto it = degraded_beliefs_.begin(); it != degraded_beliefs_.end();) {

@@ -63,13 +63,11 @@ enum class ProcessingMode : uint8_t {
 
 std::string ToString(ProcessingMode mode);
 
-/// Where within the crash epoch the process dies. Only the default
-/// mid-window kill is legal without durability; the other two probe the
-/// durable-site guarantee at finer kill points (tests/durability_test.cc
+/// Where within the crash epoch the process dies (tests/durability_test.cc
 /// sweeps all three at every boundary).
 enum class CrashPhase : uint8_t {
   /// Before the epoch's delivery drain: the site never sees this epoch's
-  /// frames (they wait in the fabric when durability retains them).
+  /// frames (they wait in the fabric until the replacement recovers).
   kMidWindow = 0,
   /// After the drain and its WAL flush, before the window compute: the
   /// site consumed and durably logged the epoch's frames, then died.
@@ -83,14 +81,11 @@ enum class CrashPhase : uint8_t {
 
 /// One scheduled site failure: the site's process dies at `at` (losing all
 /// in-memory inference/query state) and a replacement process comes up at
-/// `recover_at`. Without durability the replacement rebuilds from the
-/// site's durable raw trace plus the migration state its peers retained
-/// and re-send on request (MessageKind::kRecoveryRequest), and every
-/// queued frame addressed to the site dies with it. With
-/// DistributedOptions::durability the replacement restores its own
-/// checkpoint + frame WAL from disk instead -- no peer traffic, nothing
-/// purged from the fabric -- and `recover_at == at` (an immediate
-/// restart) becomes legal.
+/// `recover_at` (`recover_at == at` is an immediate restart). The
+/// replacement restores its own checkpoint + frame WAL from disk
+/// (DistributedOptions::durability, which a crash schedule requires) --
+/// no peer traffic, and nothing is purged from the fabric: frames
+/// addressed to the site wait out the outage.
 struct CrashEvent {
   SiteId site = kNoSite;
   Epoch at = 0;
@@ -158,25 +153,20 @@ struct DistributedOptions {
   /// many systems trace only one representative run).
   std::string trace_path;
   bool trace = true;
-  /// Scheduled site failures (distributed mode only; must be sorted by
-  /// `at`, with 0 < at < recover_at -- or recover_at == at under
-  /// durability -- and non-overlapping outages per site). Without
-  /// durability, non-empty schedules enable SiteOptions::retain_exports
-  /// so peers can answer the recovering site's kRecoveryRequest. With an
-  /// all-zero FaultModel a crashed-and-recovered run ends bit-identical
-  /// to the uncrashed run; the non-durable path additionally requires
-  /// that no transfer depart the crashed site during its outage (that
-  /// state died with the process and is honestly lost).
+  /// Scheduled site failures (distributed mode only, and durability
+  /// must be enabled; sorted by `at`, with 0 < at <= recover_at and
+  /// non-overlapping outages per site). With an all-zero FaultModel a
+  /// crashed-and-recovered run ends bit-identical to the uncrashed run,
+  /// byte totals included.
   std::vector<CrashEvent> crashes;
   /// Per-site durable storage (dist/durability.h): checkpoints every
   /// SiteOptions::checkpoint_every boundaries, a frame WAL fsynced per
   /// delivery drain, and the tamper-evident audit log. Defaults read
   /// RFID_DURABILITY_DIR / RFID_DURABILITY_FSYNC; disabled when the
-  /// directory is empty. A durable crashed site recovers from its own
-  /// disk (checkpoint + WAL replay + trace replay) with zero
-  /// kRecoveryRequest traffic, and transfers that departed during the
-  /// outage are exported during the catch-up replay instead of being
-  /// lost -- the departed-transfer caveat above disappears.
+  /// directory is empty. Required by a non-empty `crashes`: a crashed
+  /// site recovers from its own disk (checkpoint + WAL replay + trace
+  /// replay), and transfers that departed during the outage are exported
+  /// by the catch-up replay.
   DurabilityOptions durability;
 };
 
@@ -310,20 +300,16 @@ class DistributedSystem {
   std::unique_ptr<Site> MakeSite(SiteId s);
   /// Kills site `s` at epoch `at`: snapshots its current containment
   /// answers into degraded_beliefs_ (the last-known view queries fall back
-  /// to during the outage), purges every frame queued for it, and swaps in
-  /// a pristine replacement that stays isolated until recovery.
+  /// to during the outage), drops its unflushed WAL/audit bytes, and swaps
+  /// in a pristine replacement that stays isolated until recovery.
   void CrashSite(SiteId s, Epoch at) REQUIRES(phase_);
-  /// Brings site `s` back at epoch `t`: requests retained state from every
-  /// peer, then replays the site's own raw trace through every inference
-  /// boundary before `t` so its engines converge to the pre-crash state.
+  /// Brings site `s` back at epoch `t`: restores the newest valid
+  /// checkpoint from disk, re-feeds the frame-WAL tail through the
+  /// handler, drains the outage backlog the fabric retained, then replays
+  /// the site's own trace boundaries after the checkpoint cut -- exporting
+  /// for real any transfer that departed while the process was down.
+  /// Zero peer traffic.
   void RecoverSite(SiteId s, Epoch t) REQUIRES(phase_);
-  /// Durable variant: restores the newest valid checkpoint from disk,
-  /// re-feeds the frame-WAL tail through the handler, drains the outage
-  /// backlog the fabric retained, then replays the site's own trace
-  /// boundaries after the checkpoint cut -- exporting for real any
-  /// transfer that departed while the process was down. Zero peer
-  /// traffic.
-  void RecoverSiteDurable(SiteId s, Epoch t) REQUIRES(phase_);
 
   const SupplyChainSim* sim_;
   DistributedOptions options_;
@@ -360,8 +346,8 @@ class DistributedSystem {
   /// Last-known containment answer per tag owned by a currently-down site;
   /// queries during the outage answer from this snapshot.
   std::unordered_map<TagId, TagId> degraded_beliefs_ GUARDED_BY(phase_);
-  /// Crash epoch of each currently-down site (the kRecoveryRequest
-  /// payload: peers re-send only state sent strictly before it).
+  /// Crash epoch of each currently-down site (the recovery catch-up
+  /// exports for real only transfers that departed at or after it).
   std::unordered_map<SiteId, Epoch> crash_at_ GUARDED_BY(phase_);
   Epoch reliability_flush_epochs_ = 0;
   bool ran_ = false;

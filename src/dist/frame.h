@@ -45,10 +45,13 @@ namespace rfid {
 /// traffic (registrations, moves, and lookups -- the "similar to a DNS
 /// service" load of Section 5.2, charged per (site, shard host) link since
 /// the directory is sharded across sites; see dist/ons.h), cumulative
-/// per-link acknowledgements (the reliability tax), and crash-recovery
-/// state re-requests. kCheckpoint never crosses the network: it is the
-/// on-disk record kind of a durable site checkpoint (dist/durability.h),
-/// which reuses the v2 frame encoder as its CRC-framed storage envelope.
+/// per-link acknowledgements (the reliability tax). kRecoveryRequest is
+/// reserved: it belonged to the removed peer-assisted crash recovery, is
+/// never sent, and keeps its value so kCheckpoint (stored inside
+/// checkpoint files) is not renumbered. kCheckpoint never crosses the
+/// network: it is the on-disk record kind of a durable site checkpoint
+/// (dist/durability.h), which reuses the v2 frame encoder as its
+/// CRC-framed storage envelope.
 enum class MessageKind : uint8_t {
   kRawReadings = 0,
   kInferenceState = 1,

@@ -388,9 +388,9 @@ void Site::ExportTransfer(const ObjectTransfer& tr) {
     if (pallet_streaming_ != nullptr) {
       case_states = collect(*pallet_streaming_, tr.cases);
     }
-    SendRetained(tr.to, MessageKind::kInferenceState,
-                 EncodeInferenceEnvelope(tr.arrive, states, case_states,
-                                         options_.compress_level));
+    network_->Send(id_, tr.to, MessageKind::kInferenceState,
+                   EncodeInferenceEnvelope(tr.arrive, states, case_states,
+                                           options_.compress_level));
   }
   if (queries_attached() && !tr.items.empty()) {
     TagStateList q1_states;
@@ -408,26 +408,12 @@ void Site::ExportTransfer(const ObjectTransfer& tr) {
       }
     }
     if (!q1_states.empty() || !q2_states.empty()) {
-      SendRetained(tr.to, MessageKind::kQueryState,
-                   EncodeQueryEnvelope(tr.arrive, q1_states, q2_states,
-                                       options_.share_query_state,
-                                       believed));
+      network_->Send(id_, tr.to, MessageKind::kQueryState,
+                     EncodeQueryEnvelope(tr.arrive, q1_states, q2_states,
+                                         options_.share_query_state,
+                                         believed));
     }
   }
-}
-
-size_t Site::SendRetained(SiteId to, MessageKind kind,
-                          std::vector<uint8_t> payload) {
-  const size_t wire = network_->Send(id_, to, kind, payload);
-  if (options_.retain_exports) {
-    RetainedSend rs;
-    rs.to = to;
-    rs.kind = kind;
-    rs.sent_at = network_->now();
-    rs.payload = std::move(payload);
-    retained_.push_back(std::move(rs));
-  }
-  return wire;
 }
 
 void Site::DropTransferState(const ObjectTransfer& tr) {
@@ -508,40 +494,12 @@ void Site::HandleMessage(SiteId from, MessageKind kind,
       // Acks are consumed by the Network's reliability layer inside
       // DeliverDue and never reach a handler; tolerate one defensively.
       break;
-    case MessageKind::kRecoveryRequest: {
-      // A rebuilt peer lost every envelope delivered before its crash
-      // epoch. Re-send the retained copies addressed to it that were sent
-      // strictly before that epoch -- frames sent at or after the crash
-      // were purged-then-requeued by the fabric and still deliver
-      // normally, so resending them too would double-install state
-      // (ImportObjectContext adds weights; each envelope must install
-      // exactly once).
-      BufferReader r(payload);
-      uint64_t crash_at = 0;
-      RFID_CHECK_OK(r.GetVarint(&crash_at));
-      int64_t resent = 0;
-      int64_t resent_bytes = 0;
-      for (const RetainedSend& rs : retained_) {
-        if (rs.to != from) continue;
-        if (rs.sent_at >= static_cast<Epoch>(crash_at)) continue;
-        resent_bytes += static_cast<int64_t>(
-            network_->Send(id_, from, rs.kind, rs.payload));
-        ++resent;
-      }
-      if (telemetry_ != nullptr && resent > 0) {
-        telemetry_->registry()
-            .GetCounter("recovery/envelopes_resent")
-            ->Add(resent);
-        telemetry_->registry()
-            .GetCounter("recovery/resent_bytes")
-            ->Add(resent_bytes);
-      }
-      break;
-    }
+    case MessageKind::kRecoveryRequest:
+      // Reserved: no site sends it (peer-assisted recovery was removed).
     case MessageKind::kCheckpoint:
       // Disk-only record kind: the durable checkpoint envelope reuses the
-      // frame codec as its storage format (dist/durability.cc) but never
-      // crosses the network; tolerate one defensively.
+      // frame codec as its storage format (dist/durability.cc). Neither
+      // kind crosses the network; tolerate one defensively.
       break;
   }
 }

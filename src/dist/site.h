@@ -70,11 +70,9 @@ struct SiteOptions {
   /// A.4): a per-site pallet-level engine whose state also migrates on
   /// transfers and whose answers back BelievedPallet.
   bool hierarchical = false;
-  /// Keep a copy of every exported envelope so a crashed-and-rebuilt peer
-  /// can re-request the state it lost (MessageKind::kRecoveryRequest).
-  /// Enabled by DistributedSystem when a crash schedule is configured
-  /// *without* durability; a durable site recovers from its own disk and
-  /// never asks peers to re-send.
+  /// Ignored: peer-assisted crash recovery was removed, and a crashed
+  /// site recovers from its own checkpoint + WAL. Kept only because the
+  /// benchmark workloads still set it; remove once they stop.
   bool retain_exports = false;
   /// Cut a durable checkpoint every this many inference boundaries when
   /// durability is attached (dist/durability.h); 0 = WAL-only recovery
@@ -162,9 +160,10 @@ class Site {
 
   /// Replays ExportTransfer's *local* side effects without sending
   /// anything: retires exits and consumes (TakeState) the query state of
-  /// departing items. Used when rebuilding a crashed site from the raw
-  /// trace -- the live sends already happened before the crash, but the
-  /// fresh engine must not keep state the live one gave away.
+  /// departing items. Used when rebuilding a crashed site from its
+  /// checkpoint, WAL and raw trace -- the live sends already happened
+  /// before the crash, but the fresh engine must not keep state the live
+  /// one gave away.
   void DropTransferState(const ObjectTransfer& tr);
 
   /// Inbound message entry point (registered with the Network).
@@ -233,20 +232,9 @@ class Site {
   }
 
  private:
-  /// One envelope this site sent, kept (under SiteOptions::retain_exports)
-  /// so a recovering peer can ask for it again.
-  struct RetainedSend {
-    SiteId to = kNoSite;
-    MessageKind kind = MessageKind::kInferenceState;
-    Epoch sent_at = 0;
-    std::vector<uint8_t> payload;
-  };
-
   void FeedQueries(const std::vector<ObjectEvent>& events);
   void InstallInference(const PendingArrival& arrival);
   void InstallQueryState(const PendingQueryState& pending);
-  size_t SendRetained(SiteId to, MessageKind kind,
-                      std::vector<uint8_t> payload);
 
   SiteId id_;
   Network* network_;
@@ -272,7 +260,6 @@ class Site {
 
   std::vector<PendingArrival> pending_inference_;
   std::vector<PendingQueryState> pending_query_;
-  std::vector<RetainedSend> retained_;
 };
 
 // ---- Wire codecs shared by sites and the centralized driver ----

@@ -44,7 +44,7 @@ enum class Phase : uint8_t {
   kKernelWrite,       ///< socket backend: write(2) loop
   kKernelRead,        ///< socket backend: accept/read/decode pump
   // Fault-tolerance phases (kDriverTrack; appended to keep values stable).
-  kCrashRecovery,     ///< rebuild of a crashed site from its raw trace
+  kCrashRecovery,     ///< rebuild of a crashed site from checkpoint + WAL
   // Never recorded: the pipelined centralized flush it timed was removed.
   // Kept so later enumerator values and the benchmark's phase manifest
   // stay stable.

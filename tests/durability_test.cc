@@ -7,8 +7,10 @@
 //     from its own disk -- final alerts, accuracy series, beliefs, and
 //     byte totals bit-identical to the uncrashed run, with zero
 //     kRecoveryRequest traffic;
-//   - a transfer departing DURING the outage (the state the non-durable
-//     path honestly loses) exported exactly by the catch-up replay;
+//   - a transfer departing DURING the outage (the dead process never
+//     sent it) exported exactly by the catch-up replay;
+//   - a crash schedule without durability rejected loudly at
+//     construction;
 //   - corruption handling: every single-byte flip of a checkpoint falls
 //     back to the previous cut, WAL truncation at every offset yields the
 //     longest complete-record prefix (torn tail counted) or fails loudly
@@ -31,30 +33,12 @@
 #include "dist/frame.h"
 #include "sim/sensors.h"
 #include "sim/supply_chain.h"
+#include "tests/scratch_dir.h"
 
 namespace rfid {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Unique scratch directory, removed on destruction.
-class ScratchDir {
- public:
-  ScratchDir() {
-    std::string tmpl = ::testing::TempDir() + "rfid_durability_XXXXXX";
-    char* got = mkdtemp(tmpl.data());
-    EXPECT_NE(got, nullptr);
-    path_ = got != nullptr ? got : tmpl;
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& str() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 DurabilityOptions QuietDurability(const std::string& dir) {
   DurabilityOptions o;
@@ -661,6 +645,18 @@ TEST(DurableReplayTest, DepartureDuringOutageIsExportedByCatchUpReplay) {
   durable.Run();
   ExpectDurableBitIdentity(reference, durable, fx.sim,
                            "departed during outage");
+}
+
+TEST(DurableReplayDeathTest, CrashScheduleWithoutDurabilityFailsLoudly) {
+  SweepFixture fx;
+  DistributedOptions opts = SweepOptions();
+  // Pinned: the ambient RFID_DURABILITY_DIR / RFID_TRANSPORT must not turn
+  // durability on or put sockets in the forked child.
+  opts.durability.dir.clear();
+  opts.transport = TransportKind::kInProcess;
+  opts.crashes.push_back(CrashEvent{1, 600, 700});
+  EXPECT_DEATH(DistributedSystem(&fx.sim, opts, &fx.catalog, &fx.sensors),
+               "crash schedule requires durability");
 }
 
 TEST(DurableReplayTest, AuditLogsVerifyAndCountTheRunsAlertsAndMovements) {
