@@ -194,9 +194,10 @@ int Main() {
   }
   std::printf(
       "expected shape: dist 4t beats dist serial (sites run in parallel);\n"
-      "cent 4t ~= cent serial (one server runs all inference); every row\n"
-      "stays deterministic vs its mode's serial row, including the durable\n"
-      "row (the WAL is disk-side only).\n");
+      "cent 4t beats cent serial (the one server fans its per-object and\n"
+      "per-container inference loops across the pool); every row stays\n"
+      "deterministic vs its mode's serial row, including the durable row\n"
+      "(the WAL is disk-side only).\n");
   bench::FinishReport(report, "epoch_rate");
   return 0;
 }

@@ -108,29 +108,53 @@ int Main() {
       "drop rate -- the reliability tax. Delivered must read yes on every\n"
       "row.\n\n");
 
-  // Crash scenario: one mid-window crash on the lossy fabric. The victim
-  // is the busiest migration target up to the crash epoch, so its WAL
-  // holds pre-crash envelopes to replay; the durable store lives in a
-  // scratch directory removed after the run, and the replay volume and
-  // rebuild wall-time land in the counters below.
+  // Crash scenario: one crash on the lossy fabric. Its chain runs a 300 s
+  // shelf stay -- the sweep's 1200 s stay migrates nothing before epoch
+  // 1200, which the smoke horizon never reaches. The victim is the
+  // busiest migration target within the horizon. It dies right after the
+  // delivery drain (and WAL flush) at the arrival epoch of its first
+  // inbound transfer whose flight crosses no inference boundary -- no
+  // checkpoint cut lies between the envelope's WAL append and the crash --
+  // so recovery refeeds that logged frame unless the lossy link dropped it
+  // and its retransmission is still pending (CI asserts it does not). The
+  // durable store lives in a temporary directory removed after the run, and
+  // the replay volume and rebuild wall-time land in the counters below.
   {
-    const Epoch crash_at = 3 * horizon / 4;
-    const Epoch recover_at = std::min<Epoch>(horizon, crash_at + 300);
-    std::vector<int> inbound(sim.config().num_warehouses, 0);
-    for (const ObjectTransfer& tr : sim.transfers()) {
-      if (tr.to != kNoSite && tr.arrive < crash_at) ++inbound[tr.to];
+    SupplyChainConfig crash_cfg = sim.config();
+    crash_cfg.shelf_stay = 300;
+    SupplyChainSim crash_sim(crash_cfg);
+    crash_sim.Run();
+    DistributedOptions opts;
+    const Epoch period = opts.site.streaming.inference_period;
+    const int num_sites = crash_cfg.num_warehouses;
+    std::vector<int> inbound(static_cast<size_t>(num_sites), 0);
+    for (const ObjectTransfer& tr : crash_sim.transfers()) {
+      if (tr.to != kNoSite && tr.arrive < horizon) {
+        ++inbound[static_cast<size_t>(tr.to)];
+      }
     }
     SiteId victim = 0;
-    for (SiteId s = 1; s < (SiteId)inbound.size(); ++s) {
-      if (inbound[s] > inbound[victim]) victim = s;
+    for (SiteId s = 1; s < num_sites; ++s) {
+      if (inbound[static_cast<size_t>(s)] >
+          inbound[static_cast<size_t>(victim)]) {
+        victim = s;
+      }
     }
-    DistributedOptions opts;
+    Epoch crash_at = horizon - 1;
+    for (const ObjectTransfer& tr : crash_sim.transfers()) {
+      if (tr.to == victim && tr.arrive < crash_at &&
+          tr.depart / period == (tr.arrive - 1) / period) {
+        crash_at = tr.arrive;
+      }
+    }
+    const Epoch recover_at = std::min<Epoch>(horizon, crash_at + 300);
     opts.site.migration = MigrationMode::kCollapsed;
     opts.trace = false;
     opts.network.faults = FaultModel{};
     opts.network.faults.drop = 0.02;
     opts.network.faults.seed = 777;
-    opts.crashes.push_back(CrashEvent{victim, crash_at, recover_at});
+    opts.crashes.push_back(
+        CrashEvent{victim, crash_at, recover_at, CrashPhase::kPostDrain});
     std::string scratch = std::filesystem::temp_directory_path().string() +
                           "/rfid_bench_fault_XXXXXX";
     if (mkdtemp(scratch.data()) == nullptr) {
@@ -138,7 +162,7 @@ int Main() {
       return 1;
     }
     opts.durability.dir = scratch;
-    DistributedSystem sys(&sim, opts);
+    DistributedSystem sys(&crash_sim, opts);
     sys.Run();
     std::error_code ec;
     std::filesystem::remove_all(scratch, ec);

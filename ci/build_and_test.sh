@@ -6,8 +6,9 @@
 # be bit-identical), then an
 # ASan/UBSan Debug pass over the unit/integration suite (plus the socket
 # pass under ASan, which also leak-checks the fd/buffer handling), then a
-# ThreadSanitizer Debug pass over the distributed layer (the parallel site
-# executor and the determinism contract of DistributedSystem::Run).
+# ThreadSanitizer Debug pass over the distributed layer and the pooled
+# inference engine (the parallel executor and the determinism contract of
+# DistributedSystem::Run and RFInfer::Run).
 #
 # Usage: ci/build_and_test.sh [--skip-sanitize]
 set -euo pipefail
@@ -86,8 +87,9 @@ echo "==> Socket transport: distributed suites over real loopback sockets"
 echo "==> Faults: lossy smoke replay (drop 0.05 + reorder + one durable crash)"
 # The fault-sweep bench on the real lossy fabric: the run must complete,
 # accuracy must stay finite (the crash row records error_is_finite), the
-# retransmit counters must be nonzero wherever frames were dropped, and
-# every sweep row must report exactly-once convergence.
+# retransmit counters must be nonzero wherever frames were dropped, every
+# sweep row must report exactly-once convergence, and the crash row's
+# recovery must actually refeed logged frames from its WAL.
 (cd build && RFID_BENCH_MAX_HORIZON=900 ./bench_fault_sweep >/dev/null)
 python3 - <<'EOF'
 import json, math
@@ -108,8 +110,11 @@ assert crash["error_is_finite"]
 assert crash["durable_recoveries"] >= 1
 assert "recovery_request_bytes" not in crash
 assert crash["retransmits"] > 0
-print("fault sweep: %d rows + crash scenario (err=%.2f%%) -- OK"
-      % (len(sweep), crash["containment_error_percent"]))
+assert crash["replayed_frames"] > 0, crash
+assert crash["wal_bytes"] > 0, crash
+print("fault sweep: %d rows + crash scenario (err=%.2f%%, %d WAL frames "
+      "replayed) -- OK" % (len(sweep), crash["containment_error_percent"],
+                           crash["replayed_frames"]))
 EOF
 
 echo "==> Durability: durable example replay + log_verify over its audit logs"
@@ -185,18 +190,20 @@ cmake --build build-asan -j "${JOBS}"
 (cd build-asan && RFID_TRANSPORT=socket \
   ctest --output-on-failure -R '^(dist_test|executor_test|frame_test|fault_test)$')
 
-echo "==> Debug + TSan: distributed executor + determinism + ONS tests"
-# TSan and ASan cannot share a build; only the threaded distributed layer
-# needs the data-race pass, so build and run just those binaries.
+echo "==> Debug + TSan: executor + determinism + ONS + pooled inference tests"
+# TSan and ASan cannot share a build; only the threaded code needs the
+# data-race pass, so build and run just those binaries. inference_test
+# covers RFINFER's loops fanned across a 4-thread pool.
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DRFID_TSAN=ON
 # obs_test rides along: the metrics registry's lock-free hot path and
 # concurrent-registration contract are exactly what TSan is for.
 cmake --build build-tsan -j "${JOBS}" \
-  --target dist_test executor_test fault_test ons_test obs_test
+  --target dist_test executor_test fault_test ons_test obs_test \
+  inference_test
 (cd build-tsan && \
   ctest --output-on-failure \
-  -R '^(dist_test|executor_test|fault_test|ons_test|obs_test)$')
+  -R '^(dist_test|executor_test|fault_test|ons_test|obs_test|inference_test)$')
 
 echo "==> CI green"

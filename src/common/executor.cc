@@ -1,4 +1,6 @@
-#include "dist/executor.h"
+#include "common/executor.h"
+
+#include <algorithm>
 
 namespace rfid {
 
@@ -49,6 +51,20 @@ void SiteExecutor::Run(size_t n, const Task& fn) {
   while (done_ != n_) done_cv_.Wait(&mu_);
   task_ = nullptr;
   mu_.Unlock();
+}
+
+void SiteExecutor::ForEachChunk(SiteExecutor* executor, size_t n,
+                                const RangeTask& fn) {
+  if (n == 0) return;
+  if (executor == nullptr || executor->serial()) {
+    fn(0, n);
+    return;
+  }
+  const size_t chunks =
+      std::min(n, static_cast<size_t>(executor->num_threads()) * 4);
+  executor->Run(chunks, [&](size_t chunk) {
+    fn(chunk * n / chunks, (chunk + 1) * n / chunks);
+  });
 }
 
 void SiteExecutor::WorkerLoop() {

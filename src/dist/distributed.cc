@@ -1,6 +1,7 @@
 #include "dist/distributed.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -251,15 +252,14 @@ void DistributedSystem::Run() {
   std::sort(events.begin(), events.end());
   events.erase(std::unique(events.begin(), events.end()), events.end());
 
-  // At most one thread per work item can ever be useful: in distributed
-  // mode each item owns a whole site; centralized mode runs one server
-  // with nothing to fan out. A wider pool (e.g. kAutoThreads on a
-  // many-core box driving a 1-site serial centralized replay) only adds
-  // wakeup contention.
-  const int useful_threads =
-      centralized() ? 1 : static_cast<int>(sites_.size());
-  SiteExecutor executor(std::min(
-      SiteExecutor::ResolveThreads(options_.num_threads), useful_threads));
+  // In distributed mode each work item owns a whole site, so more threads
+  // than sites only add wakeup contention. Centralized mode's one server
+  // fans its inference loops (per object, per container) across the pool
+  // instead, so there every requested thread is useful.
+  const int threads = SiteExecutor::ResolveThreads(options_.num_threads);
+  SiteExecutor executor(
+      centralized() ? threads
+                    : std::min(threads, static_cast<int>(sites_.size())));
   std::vector<size_t>& cursor = cursors_;
   // Centralized mode: a remote site's un-flushed readings pend as the
   // range [flush_begin[s], cursor[s]) of its immutable simulator trace --
@@ -457,17 +457,27 @@ void DistributedSystem::Run() {
 
     // -- Parallel inference phase: every site runs at period boundaries
     // (AdvanceTo is a no-op elsewhere, so the fan-out is skipped).
+    // Distributed mode fans the sites across the pool, one site per task,
+    // and hands no site the pool (SiteExecutor::Run is not reentrant).
+    // Centralized mode runs its one server on this thread and hands it the
+    // pool, which fans the server's per-object and per-container
+    // inference loops instead.
     bool any_ran = false;
     if (boundary) {
-      executor.Run(sites_.size(), [&](size_t s) {
+      auto advance = [&](size_t s, SiteExecutor* inner) {
         if (network_.IsSiteDown(static_cast<SiteId>(s))) {
           ran[s] = 0;
           return;
         }
         obs::PhaseTimer span(telemetry_.get(), obs::Phase::kInference, t,
                              obs::kFirstSiteTrack + static_cast<int>(s));
-        ran[s] = sites_[s]->AdvanceTo(t);
-      });
+        ran[s] = sites_[s]->AdvanceTo(t, inner);
+      };
+      if (centralized()) {
+        advance(0, &executor);
+      } else {
+        executor.Run(sites_.size(), [&](size_t s) { advance(s, nullptr); });
+      }
       for (int r : ran) any_ran = any_ran || r > 0;
     }
 
@@ -812,33 +822,26 @@ ErrorRate DistributedSystem::ScanContainment(const std::vector<TagId>& tags,
   const GroundTruth& truth = sim_->truth();
   // Fan the per-tag scan across the executor pool: every evaluation is
   // read-only (ground-truth intervals, owner map, site beliefs), and the
-  // per-chunk integer counts sum exactly, so the sampled percentage is
-  // bit-identical to the serial scan for any thread or chunk count.
-  const size_t n = tags.size();
-  const size_t num_chunks =
-      executor == nullptr || executor->serial() || n == 0
-          ? 1
-          : std::min(n, static_cast<size_t>(executor->num_threads()) * 4);
-  auto scan_range = [&](size_t begin, size_t end, ErrorRate& out) {
+  // per-chunk integer counts sum exactly in any order, so the sampled
+  // percentage is bit-identical to the serial scan for any thread or chunk
+  // count.
+  std::atomic<int64_t> errors{0};
+  std::atomic<int64_t> total{0};
+  SiteExecutor::ForEachChunk(executor, tags.size(), [&](size_t begin,
+                                                        size_t end) {
+    ErrorRate part;
     for (size_t i = begin; i < end; ++i) {
       const TagId tag = tags[i];
       if (!truth.PresentAt(tag, t)) continue;
       const TagId want = truth.ContainerAt(tag, t);
       if (contained_only && !want.valid()) continue;
-      out.Add(BelievedContainer(tag) == want);
+      part.Add(BelievedContainer(tag) == want);
     }
-  };
+    errors += part.errors();
+    total += part.total();
+  });
   ErrorRate err;
-  if (num_chunks <= 1) {
-    scan_range(0, n, err);
-  } else {
-    std::vector<ErrorRate> partial(num_chunks);
-    executor->Run(num_chunks, [&](size_t chunk) {
-      scan_range(chunk * n / num_chunks, (chunk + 1) * n / num_chunks,
-                 partial[chunk]);
-    });
-    for (const ErrorRate& p : partial) err.AddCounts(p.errors(), p.total());
-  }
+  err.AddCounts(errors.load(), total.load());
   return err;
 }
 

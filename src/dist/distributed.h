@@ -45,7 +45,7 @@
 
 #include "common/metrics.h"
 #include "common/thread_annotations.h"
-#include "dist/executor.h"
+#include "common/executor.h"
 #include "dist/network.h"
 #include "dist/ons.h"
 #include "dist/site.h"

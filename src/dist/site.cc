@@ -228,9 +228,11 @@ bool Site::HasArrivalsDue(Epoch now) const {
   return false;
 }
 
-int Site::AdvanceTo(Epoch now) {
-  if (pallet_streaming_ != nullptr) pallet_streaming_->AdvanceTo(now);
-  const int ran = streaming_.AdvanceTo(now);
+int Site::AdvanceTo(Epoch now, SiteExecutor* executor) {
+  if (pallet_streaming_ != nullptr) {
+    pallet_streaming_->AdvanceTo(now, executor);
+  }
+  const int ran = streaming_.AdvanceTo(now, executor);
   if (ran > 0 && queries_attached()) {
     // Consecutive run windows overlap (a run re-reads recent history), so
     // drop events at or before the previous run's boundary: the pattern

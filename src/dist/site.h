@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "dist/durability.h"
@@ -100,7 +101,8 @@ struct PendingQueryState {
 /// One site's processor. Owned and driven by DistributedSystem in epoch
 /// order. The site itself is unsynchronized: under the bulk-synchronous
 /// executor, Observe/ObserveBatch/AdvanceTo/DeliverArrivals run inside
-/// parallel windows (at most one thread per site at a time), while every
+/// parallel windows (at most one caller per site at a time; a centralized
+/// server's AdvanceTo may fan its engine's loops out itself), while every
 /// method that crosses sites -- ExportTransfer, Retire, and HandleMessage
 /// (invoked by Network::DeliverDue when a queued frame's arrival epoch
 /// passes) -- only runs from the serial phases between windows.
@@ -137,7 +139,10 @@ class Site {
   /// Advances local time, running inference at period boundaries and
   /// feeding any attached queries with the newly inferred events (sensor
   /// samples interleaved in time order). Returns inference runs performed.
-  int AdvanceTo(Epoch now);
+  /// A non-null `executor` fans both engines' inference loops across its
+  /// pool (StreamingInference::AdvanceTo); the caller must not itself be a
+  /// task of that pool.
+  int AdvanceTo(Epoch now, SiteExecutor* executor = nullptr);
 
   /// Installs every inbound transfer whose arrival epoch has been reached.
   void DeliverArrivals(Epoch now);

@@ -151,7 +151,7 @@ void RFInfer::BuildUniverse(const Trace& trace) {
   }
 }
 
-void RFInfer::BuildCandidates(const Trace& trace) {
+void RFInfer::BuildCandidates(const Trace& trace, SiteExecutor* executor) {
   // Candidate pruning (Appendix A.3): most co-located containers during the
   // first epochs, during recent epochs, and overall.
   const Epoch init_end =
@@ -168,104 +168,104 @@ void RFInfer::BuildCandidates(const Trace& trace) {
     }
   }
 
-  CoLocationCounter full;
-  CoLocationCounter init;
-  CoLocationCounter recent;
+  // The full, init and recent counters are independent read-only scans.
+  const Epoch span_begins[3] = {span_begin, window_.begin, recent_begin};
+  const Epoch span_ends[3] = {window_.end, init_end, window_.end};
+  CoLocationCounter counters[3];
   const bool weighted = options_.exclusivity_weighted_init;
-  if (explicit_universe_) {
-    full = CoLocationCounter::FromTraceWithRoles(
-        trace, span_begin, window_.end, container_tags_, object_tags_,
-        weighted);
-    init = CoLocationCounter::FromTraceWithRoles(
-        trace, window_.begin, init_end, container_tags_, object_tags_,
-        weighted);
-    recent = CoLocationCounter::FromTraceWithRoles(
-        trace, recent_begin, window_.end, container_tags_, object_tags_,
-        weighted);
-  } else {
-    full = CoLocationCounter::FromTrace(trace, span_begin, window_.end,
-                                        weighted);
-    init = CoLocationCounter::FromTrace(trace, window_.begin, init_end,
-                                        weighted);
-    recent = CoLocationCounter::FromTrace(trace, recent_begin, window_.end,
-                                          weighted);
-  }
+  SiteExecutor::ForEachChunk(executor, 3, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      counters[i] = explicit_universe_
+                        ? CoLocationCounter::FromTraceWithRoles(
+                              trace, span_begins[i], span_ends[i],
+                              container_tags_, object_tags_, weighted)
+                        : CoLocationCounter::FromTrace(
+                              trace, span_begins[i], span_ends[i], weighted);
+    }
+  });
+  const CoLocationCounter& full = counters[0];
+  const CoLocationCounter& init = counters[1];
+  const CoLocationCounter& recent = counters[2];
 
   const int k = options_.max_candidates;
-  for (ObjectData& o : objects_) {
-    std::vector<TagId> cand_tags;
-    auto add_from = [&](const CandidateSet& set) {
-      for (TagId c : set.containers) {
-        if (std::find(cand_tags.begin(), cand_tags.end(), c) ==
-            cand_tags.end()) {
-          cand_tags.push_back(c);
+  SiteExecutor::ForEachChunk(executor, objects_.size(), [&](size_t begin,
+                                                            size_t end) {
+    for (size_t oi = begin; oi < end; ++oi) {
+      ObjectData& o = objects_[oi];
+      std::vector<TagId> cand_tags;
+      auto add_from = [&](const CandidateSet& set) {
+        for (TagId c : set.containers) {
+          if (std::find(cand_tags.begin(), cand_tags.end(), c) ==
+              cand_tags.end()) {
+            cand_tags.push_back(c);
+          }
         }
-      }
-    };
-    add_from(full.TopCandidates(o.tag, k));
-    add_from(init.TopCandidates(o.tag, k));
-    add_from(recent.TopCandidates(o.tag, k));
-    // Imported collapsed priors name containers that must stay candidates.
-    auto ctx = contexts_.find(o.tag);
-    if (ctx != contexts_.end()) {
-      for (const auto& [ctag, unused] : ctx->second.prior_weights) {
-        if (ContainerIndexOf(ctag) >= 0 &&
-            std::find(cand_tags.begin(), cand_tags.end(), ctag) ==
-                cand_tags.end()) {
-          cand_tags.push_back(ctag);
-        }
-      }
-    }
-    o.candidates.clear();
-    o.priors.clear();
-    bool has_prior = false;
-    for (TagId ctag : cand_tags) {
-      int ci = ContainerIndexOf(ctag);
-      if (ci < 0) continue;
-      o.candidates.push_back(ci);
-      double prior = 0.0;
+      };
+      add_from(full.TopCandidates(o.tag, k));
+      add_from(init.TopCandidates(o.tag, k));
+      add_from(recent.TopCandidates(o.tag, k));
+      // Imported collapsed priors name containers that must stay candidates.
+      auto ctx = contexts_.find(o.tag);
       if (ctx != contexts_.end()) {
-        for (const auto& [ptag, w] : ctx->second.prior_weights) {
-          if (ptag == ctag) {
-            prior = w;
-            has_prior = true;
+        for (const auto& [ctag, unused] : ctx->second.prior_weights) {
+          if (ContainerIndexOf(ctag) >= 0 &&
+              std::find(cand_tags.begin(), cand_tags.end(), ctag) ==
+                  cand_tags.end()) {
+            cand_tags.push_back(ctag);
           }
         }
       }
-      o.priors.push_back(prior);
-    }
-    if (has_prior) {
-      // Transferred weights are relative log-evidence; a candidate absent
-      // from the transferred list was *less* co-located over the old
-      // period than every retained candidate, not neutrally so. Give the
-      // absent ones a below-minimum prior, otherwise their implicit zero
-      // out-bids the genuinely endorsed (large-negative) candidates.
-      double min_prior = 0.0;
-      bool first = true;
-      for (size_t j = 0; j < o.priors.size(); ++j) {
-        if (o.priors[j] == 0.0) continue;
-        if (first || o.priors[j] < min_prior) min_prior = o.priors[j];
-        first = false;
+      o.candidates.clear();
+      o.priors.clear();
+      bool has_prior = false;
+      for (TagId ctag : cand_tags) {
+        int ci = ContainerIndexOf(ctag);
+        if (ci < 0) continue;
+        o.candidates.push_back(ci);
+        double prior = 0.0;
+        if (ctx != contexts_.end()) {
+          for (const auto& [ptag, w] : ctx->second.prior_weights) {
+            if (ptag == ctag) {
+              prior = w;
+              has_prior = true;
+            }
+          }
+        }
+        o.priors.push_back(prior);
       }
-      constexpr double kAbsentMargin = 20.0;
-      for (size_t j = 0; j < o.priors.size(); ++j) {
-        if (o.priors[j] == 0.0) o.priors[j] = min_prior - kAbsentMargin;
+      if (has_prior) {
+        // Transferred weights are relative log-evidence; a candidate absent
+        // from the transferred list was *less* co-located over the old
+        // period than every retained candidate, not neutrally so. Give the
+        // absent ones a below-minimum prior, otherwise their implicit zero
+        // out-bids the genuinely endorsed (large-negative) candidates.
+        double min_prior = 0.0;
+        bool first = true;
+        for (size_t j = 0; j < o.priors.size(); ++j) {
+          if (o.priors[j] == 0.0) continue;
+          if (first || o.priors[j] < min_prior) min_prior = o.priors[j];
+          first = false;
+        }
+        constexpr double kAbsentMargin = 20.0;
+        for (size_t j = 0; j < o.priors.size(); ++j) {
+          if (o.priors[j] == 0.0) o.priors[j] = min_prior - kAbsentMargin;
+        }
       }
-    }
-    o.weights.assign(o.candidates.size(), kNegInf);
-    // Initial guess: the imported prior winner if present, else the most
-    // co-located candidate (candidates are ordered by overall count first).
-    o.assigned = o.candidates.empty() ? -1 : 0;
-    if (ctx != contexts_.end() && !ctx->second.prior_weights.empty()) {
-      double best = kNegInf;
-      for (size_t j = 0; j < o.candidates.size(); ++j) {
-        if (o.priors[j] != 0.0 && o.priors[j] > best) {
-          best = o.priors[j];
-          o.assigned = static_cast<int>(j);
+      o.weights.assign(o.candidates.size(), kNegInf);
+      // Initial guess: the imported prior winner if present, else the most
+      // co-located candidate (candidates are ordered by overall count first).
+      o.assigned = o.candidates.empty() ? -1 : 0;
+      if (ctx != contexts_.end() && !ctx->second.prior_weights.empty()) {
+        double best = kNegInf;
+        for (size_t j = 0; j < o.candidates.size(); ++j) {
+          if (o.priors[j] != 0.0 && o.priors[j] > best) {
+            best = o.priors[j];
+            o.assigned = static_cast<int>(j);
+          }
         }
       }
     }
-  }
+  });
 
   // Container universes: the window plus the critical regions of every
   // object that lists the container as a candidate.
@@ -296,19 +296,27 @@ void RFInfer::BuildCandidates(const Trace& trace) {
   }
 }
 
-void RFInfer::BuildReadCaches(const Trace& trace) {
-  for (ObjectData& o : objects_) {
-    o.reads.clear();
-    for (const TagRead& tr : trace.HistoryOf(o.tag)) {
-      if (InIntervals(o.universe, tr.time)) o.reads.push_back(tr);
+void RFInfer::BuildReadCaches(const Trace& trace, SiteExecutor* executor) {
+  SiteExecutor::ForEachChunk(executor, objects_.size(), [&](size_t begin,
+                                                            size_t end) {
+    for (size_t oi = begin; oi < end; ++oi) {
+      ObjectData& o = objects_[oi];
+      o.reads.clear();
+      for (const TagRead& tr : trace.HistoryOf(o.tag)) {
+        if (InIntervals(o.universe, tr.time)) o.reads.push_back(tr);
+      }
     }
-  }
-  for (ContainerData& c : containers_) {
-    c.own_reads.clear();
-    for (const TagRead& tr : trace.HistoryOf(c.tag)) {
-      if (InIntervals(c.universe, tr.time)) c.own_reads.push_back(tr);
+  });
+  SiteExecutor::ForEachChunk(executor, containers_.size(), [&](size_t begin,
+                                                               size_t end) {
+    for (size_t ci = begin; ci < end; ++ci) {
+      ContainerData& c = containers_[ci];
+      c.own_reads.clear();
+      for (const TagRead& tr : trace.HistoryOf(c.tag)) {
+        if (InIntervals(c.universe, tr.time)) c.own_reads.push_back(tr);
+      }
     }
-  }
+  });
 }
 
 void RFInfer::ComputeContainer(ContainerData& c) {
@@ -408,10 +416,13 @@ void RFInfer::ComputeContainer(ContainerData& c) {
   c.computed = true;
 }
 
-void RFInfer::EStep() {
-  for (ContainerData& c : containers_) {
-    ComputeContainer(c);
-  }
+void RFInfer::EStep(SiteExecutor* executor) {
+  // Each container's posterior depends only on its own reads and its
+  // assigned objects' (read-only here) reads.
+  SiteExecutor::ForEachChunk(executor, containers_.size(), [&](size_t begin,
+                                                               size_t end) {
+    for (size_t ci = begin; ci < end; ++ci) ComputeContainer(containers_[ci]);
+  });
 }
 
 double RFInfer::SumM(const ContainerData& c,
@@ -470,29 +481,33 @@ double RFInfer::ComputeWeight(const ObjectData& o, int container_index) const {
   return w;
 }
 
-bool RFInfer::MStep() {
-  bool changed = false;
-  for (ObjectData& o : objects_) {
-    double best = kNegInf;
-    int best_j = -1;
-    for (size_t j = 0; j < o.candidates.size(); ++j) {
-      const double w =
-          o.priors[j] + ComputeWeight(o, o.candidates[j]);
-      o.weights[j] = w;
-      if (w > best) {
-        best = w;
-        best_j = static_cast<int>(j);
+bool RFInfer::MStep(SiteExecutor* executor) {
+  // Each object's weights read only the (now fixed) container posteriors.
+  SiteExecutor::ForEachChunk(executor, objects_.size(), [&](size_t begin,
+                                                            size_t end) {
+    for (size_t oi = begin; oi < end; ++oi) {
+      ObjectData& o = objects_[oi];
+      double best = kNegInf;
+      int best_j = -1;
+      for (size_t j = 0; j < o.candidates.size(); ++j) {
+        const double w = o.priors[j] + ComputeWeight(o, o.candidates[j]);
+        o.weights[j] = w;
+        if (w > best) {
+          best = w;
+          best_j = static_cast<int>(j);
+        }
       }
-    }
-    if (best_j != o.assigned) {
+      o.moved = best_j != o.assigned;
       o.assigned = best_j;
-      changed = true;
     }
-  }
-  // Rebuild container membership from the new assignment.
+  });
+  // Serial merge in object order: the change flag and the container
+  // membership rebuilt from the new assignment.
+  bool changed = false;
   for (ContainerData& c : containers_) c.objects.clear();
   for (size_t oi = 0; oi < objects_.size(); ++oi) {
     const ObjectData& o = objects_[oi];
+    changed = changed || o.moved;
     if (o.assigned >= 0) {
       containers_[static_cast<size_t>(
                       o.candidates[static_cast<size_t>(o.assigned)])]
@@ -528,7 +543,8 @@ double RFInfer::ComputeLogLikelihood() const {
   return total;
 }
 
-Status RFInfer::Run(const Trace& trace, Epoch window_begin, Epoch window_end) {
+Status RFInfer::Run(const Trace& trace, Epoch window_begin, Epoch window_end,
+                    SiteExecutor* executor) {
   if (!trace.sealed()) {
     return Status::InvalidArgument("trace must be sealed before inference");
   }
@@ -541,20 +557,20 @@ Status RFInfer::Run(const Trace& trace, Epoch window_begin, Epoch window_end) {
   likelihood_history_.clear();
 
   BuildUniverse(trace);
-  BuildCandidates(trace);
-  BuildReadCaches(trace);
+  BuildCandidates(trace, executor);
+  BuildReadCaches(trace, executor);
 
   bool changed = true;
   for (int iter = 0; iter < options_.max_iterations && changed; ++iter) {
-    EStep();
+    EStep(executor);
     likelihood_history_.push_back(ComputeLogLikelihood());
-    changed = MStep();
+    changed = MStep(executor);
     ++iterations_used_;
   }
   if (changed) {
     // Hit the iteration cap with a fresh assignment: recompute posteriors
     // once so location estimates and evidence match the final containment.
-    EStep();
+    EStep(executor);
     likelihood_history_.push_back(ComputeLogLikelihood());
   }
   log_likelihood_ = likelihood_history_.back();
@@ -869,10 +885,16 @@ std::optional<ChangePointResult> RFInfer::ChangePointFor(
 }
 
 std::vector<ChangePointResult> RFInfer::DetectChangePoints(
-    double threshold) const {
+    double threshold, SiteExecutor* executor) const {
+  std::vector<std::optional<ChangePointResult>> per_object(objects_.size());
+  SiteExecutor::ForEachChunk(executor, objects_.size(), [&](size_t begin,
+                                                            size_t end) {
+    for (size_t oi = begin; oi < end; ++oi) {
+      per_object[oi] = ChangePointFor(objects_[oi], threshold);
+    }
+  });
   std::vector<ChangePointResult> results;
-  for (const ObjectData& o : objects_) {
-    auto cp = ChangePointFor(o, threshold);
+  for (const auto& cp : per_object) {
     if (cp.has_value()) results.push_back(*cp);
   }
   return results;
@@ -887,56 +909,69 @@ double RFInfer::ChangeStatistic(TagId object) const {
 }
 
 std::unordered_map<TagId, CriticalRegion> RFInfer::FindCriticalRegions(
-    Epoch window, double gap_threshold) const {
-  std::unordered_map<TagId, CriticalRegion> out;
-  for (const ObjectData& o : objects_) {
-    const size_t n_cand = o.candidates.size();
-    if (n_cand == 0) continue;
-    const ScanResult scan = ScanObject(o);
-    const size_t n_ev = scan.events.size();
-    if (n_ev == 0) continue;
-
-    std::optional<CriticalRegion> cr;
-    std::vector<double> win_sum(n_cand, 0.0);
-    size_t lo = 0;  // first event inside the sliding window
-    for (size_t k = 0; k < n_ev; ++k) {
-      for (size_t j = 0; j < n_cand; ++j) {
-        win_sum[j] += scan.point[k * n_cand + j];
-      }
-      const Epoch w_begin = scan.events[k] - window + 1;
-      while (scan.events[lo] < w_begin) {
-        for (size_t j = 0; j < n_cand; ++j) {
-          win_sum[j] -= scan.point[lo * n_cand + j];
-        }
-        ++lo;
-      }
-      double best = kNegInf, second = kNegInf;
-      for (size_t j = 0; j < n_cand; ++j) {
-        if (win_sum[j] > best) {
-          second = best;
-          best = win_sum[j];
-        } else if (win_sum[j] > second) {
-          second = win_sum[j];
-        }
-      }
-      // Single-candidate objects: keep the window with the strongest
-      // evidence (gap is undefined; use the raw evidence as the score).
-      // Multi-candidate objects: keep the maximum-gap window at or above
-      // the threshold. Preferring the max over the most recent qualifying
-      // window keeps belt-style discriminative spans from being displaced
-      // by windows whose gap is co-location noise; recency is handled by
-      // the change-point barrier, which invalidates pre-change regions.
-      const double gap = n_cand == 1 ? best : best - second;
-      const bool qualifies =
-          (n_cand == 1 || gap >= gap_threshold) &&
-          (!cr.has_value() || gap > cr->gap);
-      if (qualifies) {
-        cr = CriticalRegion{EpochInterval{w_begin, scan.events[k]}, gap};
-      }
+    Epoch window, double gap_threshold, SiteExecutor* executor) const {
+  std::vector<std::optional<CriticalRegion>> per_object(objects_.size());
+  SiteExecutor::ForEachChunk(executor, objects_.size(), [&](size_t begin,
+                                                            size_t end) {
+    for (size_t oi = begin; oi < end; ++oi) {
+      per_object[oi] = CriticalRegionFor(objects_[oi], window, gap_threshold);
     }
-    if (cr.has_value()) out[o.tag] = *cr;
+  });
+  // Inserted in object order, as a serial scan would.
+  std::unordered_map<TagId, CriticalRegion> out;
+  for (size_t oi = 0; oi < objects_.size(); ++oi) {
+    if (per_object[oi].has_value()) out[objects_[oi].tag] = *per_object[oi];
   }
   return out;
+}
+
+std::optional<CriticalRegion> RFInfer::CriticalRegionFor(
+    const ObjectData& o, Epoch window, double gap_threshold) const {
+  const size_t n_cand = o.candidates.size();
+  if (n_cand == 0) return std::nullopt;
+  const ScanResult scan = ScanObject(o);
+  const size_t n_ev = scan.events.size();
+  if (n_ev == 0) return std::nullopt;
+
+  std::optional<CriticalRegion> cr;
+  std::vector<double> win_sum(n_cand, 0.0);
+  size_t lo = 0;  // first event inside the sliding window
+  for (size_t k = 0; k < n_ev; ++k) {
+    for (size_t j = 0; j < n_cand; ++j) {
+      win_sum[j] += scan.point[k * n_cand + j];
+    }
+    const Epoch w_begin = scan.events[k] - window + 1;
+    while (scan.events[lo] < w_begin) {
+      for (size_t j = 0; j < n_cand; ++j) {
+        win_sum[j] -= scan.point[lo * n_cand + j];
+      }
+      ++lo;
+    }
+    double best = kNegInf, second = kNegInf;
+    for (size_t j = 0; j < n_cand; ++j) {
+      if (win_sum[j] > best) {
+        second = best;
+        best = win_sum[j];
+      } else if (win_sum[j] > second) {
+        second = win_sum[j];
+      }
+    }
+    // Single-candidate objects: keep the window with the strongest
+    // evidence (gap is undefined; use the raw evidence as the score).
+    // Multi-candidate objects: keep the maximum-gap window at or above
+    // the threshold. Preferring the max over the most recent qualifying
+    // window keeps belt-style discriminative spans from being displaced
+    // by windows whose gap is co-location noise; recency is handled by
+    // the change-point barrier, which invalidates pre-change regions.
+    const double gap = n_cand == 1 ? best : best - second;
+    const bool qualifies =
+        (n_cand == 1 || gap >= gap_threshold) &&
+        (!cr.has_value() || gap > cr->gap);
+    if (qualifies) {
+      cr = CriticalRegion{EpochInterval{w_begin, scan.events[k]}, gap};
+    }
+  }
+  return cr;
 }
 
 }  // namespace rfid

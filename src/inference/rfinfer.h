@@ -16,6 +16,15 @@
 //                            change between EM iterations keeps its
 //                            posterior and evidence untouched.
 //
+// The EM's independent loops -- the E-step per container, the M-step
+// weights per object, the per-object critical-region and change-point
+// scans, and the read-cache and candidate-counter builds -- fan across an
+// optional SiteExecutor pool (common/executor.h). Each task writes only its
+// own object or container slot; shared results (the M-step's change flag,
+// container membership, the region map, the change-point list, the
+// likelihood sum) are merged serially in index order, so a pooled run is
+// bit-identical to the pool-less one, which runs the same loops inline.
+//
 // The same engine exposes the evidence quantities of Section 4.1 (point and
 // cumulative evidence of co-location, Eq 7), the change-point statistic
 // Delta_o(T) of Section 3.3 (Eq 6), and the critical-region search used for
@@ -27,6 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "model/read_rate.h"
@@ -129,8 +139,11 @@ class RFInfer {
 
   /// Runs EM over readings of `trace` with epochs in [window_begin,
   /// window_end], plus each object's critical region if one is installed.
-  /// The trace must be sealed.
-  Status Run(const Trace& trace, Epoch window_begin, Epoch window_end);
+  /// The trace must be sealed. A non-null `executor` fans the per-object
+  /// and per-container loops across its pool (results are bit-identical);
+  /// it must not be the pool currently running the caller.
+  Status Run(const Trace& trace, Epoch window_begin, Epoch window_end,
+             SiteExecutor* executor = nullptr);
 
   // ---- Containment results ----
 
@@ -197,8 +210,10 @@ class RFInfer {
 
   /// Computes Delta_o(T) for every object (Eq 6) and reports those at or
   /// above `threshold`. The maximizing split epoch, the best container
-  /// before and after it, and the statistic value are filled in.
-  std::vector<ChangePointResult> DetectChangePoints(double threshold) const;
+  /// before and after it, and the statistic value are filled in. Results
+  /// are in object order; `executor` as in Run().
+  std::vector<ChangePointResult> DetectChangePoints(
+      double threshold, SiteExecutor* executor = nullptr) const;
 
   /// Delta statistic for one object (for calibration); 0 when the object
   /// has fewer than one candidate or no events.
@@ -208,9 +223,10 @@ class RFInfer {
   /// epochs over each object's evidence and keeps the most recent window
   /// where the best candidate out-scores the second best by at least
   /// `gap_threshold`. Objects with a single candidate use the window of
-  /// their strongest point evidence.
+  /// their strongest point evidence. `executor` as in Run().
   std::unordered_map<TagId, CriticalRegion> FindCriticalRegions(
-      Epoch window, double gap_threshold) const;
+      Epoch window, double gap_threshold,
+      SiteExecutor* executor = nullptr) const;
 
   // ---- Diagnostics ----
 
@@ -256,17 +272,19 @@ class RFInfer {
     std::vector<TagRead> reads;   ///< object reads within its universe
     std::vector<EpochInterval> universe;
     int assigned = -1;
+    bool moved = false;  ///< the last M-step changed `assigned`
   };
 
   // Setup.
   void BuildUniverse(const Trace& trace);
-  void BuildCandidates(const Trace& trace);
-  void BuildReadCaches(const Trace& trace);
+  void BuildCandidates(const Trace& trace, SiteExecutor* executor);
+  void BuildReadCaches(const Trace& trace, SiteExecutor* executor);
 
   // EM steps.
-  void EStep();
+  void EStep(SiteExecutor* executor);
   void ComputeContainer(ContainerData& c);
-  bool MStep();  ///< returns true if any assignment changed
+  /// Returns true if any assignment changed.
+  bool MStep(SiteExecutor* executor);
   double ComputeWeight(const ObjectData& o, int container_index) const;
   double ComputeLogLikelihood() const;
 
@@ -293,6 +311,9 @@ class RFInfer {
 
   std::optional<ChangePointResult> ChangePointFor(const ObjectData& o,
                                                   double threshold) const;
+  std::optional<CriticalRegion> CriticalRegionFor(const ObjectData& o,
+                                                  Epoch window,
+                                                  double gap_threshold) const;
 
   int ObjectIndexOf(TagId tag) const;
   int ContainerIndexOf(TagId tag) const;

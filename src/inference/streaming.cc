@@ -39,17 +39,17 @@ void StreamingInference::ObserveBatch(const RawReading* readings, size_t n) {
   buffer_.Append(readings, n);
 }
 
-int StreamingInference::AdvanceTo(Epoch now) {
+int StreamingInference::AdvanceTo(Epoch now, SiteExecutor* executor) {
   int ran = 0;
   while (next_run_ <= now) {
-    RFID_CHECK_OK(RunNow(next_run_));
+    RFID_CHECK_OK(RunNow(next_run_, executor));
     next_run_ += options_.inference_period;
     ++ran;
   }
   return ran;
 }
 
-Status StreamingInference::RunNow(Epoch now) {
+Status StreamingInference::RunNow(Epoch now, SiteExecutor* executor) {
   buffer_.Seal();
   Epoch window_begin = 0;
   switch (options_.truncation) {
@@ -95,11 +95,12 @@ Status StreamingInference::RunNow(Epoch now) {
   }
 
   Stopwatch timer;
-  RFID_RETURN_NOT_OK(engine_->Run(buffer_, window_begin, now));
+  RFID_RETURN_NOT_OK(engine_->Run(buffer_, window_begin, now, executor));
 
   last_changes_.clear();
   if (options_.detect_changes) {
-    last_changes_ = engine_->DetectChangePoints(options_.change_threshold);
+    last_changes_ =
+        engine_->DetectChangePoints(options_.change_threshold, executor);
     for (const ChangePointResult& cp : last_changes_) {
       all_changes_.push_back(cp);
       ObjectContext& ctx = contexts_[cp.object];
@@ -124,8 +125,8 @@ Status StreamingInference::RunNow(Epoch now) {
   }
 
   if (options_.truncation == TruncationMethod::kCriticalRegion) {
-    auto crs = engine_->FindCriticalRegions(options_.cr_window,
-                                            options_.cr_gap_threshold);
+    auto crs = engine_->FindCriticalRegions(
+        options_.cr_window, options_.cr_gap_threshold, executor);
     for (const auto& [tag, cr] : crs) {
       ObjectContext& ctx = contexts_[tag];
       // Replace a stored region only when the new one's evidence gap is

@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/serde.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -100,11 +101,13 @@ class StreamingInference {
   void ObserveBatch(const RawReading* readings, size_t n);
 
   /// Advances stream time; runs inference whenever a period boundary is
-  /// crossed. Returns the number of inference runs performed.
-  int AdvanceTo(Epoch now);
+  /// crossed. Returns the number of inference runs performed. A non-null
+  /// `executor` fans each run's per-object and per-container work across
+  /// its pool (RFInfer::Run); results are bit-identical either way.
+  int AdvanceTo(Epoch now, SiteExecutor* executor = nullptr);
 
   /// Forces an inference run over history up to `now`.
-  Status RunNow(Epoch now);
+  Status RunNow(Epoch now, SiteExecutor* executor = nullptr);
 
   // ---- Results (valid after the first run) ----
 

@@ -3,6 +3,7 @@
 // produce bit-identical alerts, accuracy samples, and byte accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -10,7 +11,7 @@
 #include <vector>
 
 #include "dist/distributed.h"
-#include "dist/executor.h"
+#include "common/executor.h"
 #include "sim/sensors.h"
 #include "sim/supply_chain.h"
 
@@ -63,6 +64,45 @@ TEST(SiteExecutorTest, FewerItemsThanThreads) {
   std::atomic<int> count{0};
   exec.Run(2, [&](size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 2);
+}
+
+// Records every (begin, end) chunk ForEachChunk hands out.
+std::vector<std::pair<size_t, size_t>> Chunks(SiteExecutor* exec, size_t n) {
+  Mutex mu;
+  std::vector<std::pair<size_t, size_t>> chunks;
+  SiteExecutor::ForEachChunk(exec, n, [&](size_t begin, size_t end) {
+    MutexLock lock(&mu);
+    chunks.emplace_back(begin, end);
+  });
+  std::sort(chunks.begin(), chunks.end());
+  return chunks;
+}
+
+TEST(SiteExecutorTest, ForEachChunkInlineWithoutWorkers) {
+  SiteExecutor serial(0);
+  for (SiteExecutor* exec : {static_cast<SiteExecutor*>(nullptr), &serial}) {
+    EXPECT_EQ(Chunks(exec, 10),
+              (std::vector<std::pair<size_t, size_t>>{{0, 10}}));
+    EXPECT_TRUE(Chunks(exec, 0).empty());
+  }
+}
+
+TEST(SiteExecutorTest, ForEachChunkCoversRangeContiguously) {
+  SiteExecutor exec(4);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{16}, size_t{17},
+                   size_t{1000}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto chunks = Chunks(&exec, n);
+    // At most 4 chunks per thread, never an empty one, tiling [0, n).
+    EXPECT_EQ(chunks.size(), std::min<size_t>(n, 16));
+    size_t next = 0;
+    for (const auto& [begin, end] : chunks) {
+      EXPECT_EQ(begin, next);
+      EXPECT_LT(begin, end);
+      next = end;
+    }
+    EXPECT_EQ(next, n);
+  }
 }
 
 // ---- Determinism of the parallel replay ----
@@ -399,6 +439,46 @@ TEST(DeterminismTest, CentralizedThreadTransportMatrixMatchesBitForBit) {
                    " transport=" + ToString(transport));
       ExpectBitIdentical(*reference, *run(threads, transport), sim);
     }
+  }
+}
+
+// The centralized server with both containment levels (the pallet engine
+// fans out too) and change-point detection on, so the pooled change-point
+// scan feeds barriers and overrides: 4 threads must match the serial run.
+TEST(DeterminismTest, CentralizedHierarchicalChangeDetectionMatchesBitForBit) {
+  SupplyChainConfig cfg = DeterminismConfig();
+  cfg.anomaly_interval = 200;
+  SupplyChainSim sim(cfg);
+  sim.Run();
+
+  const QueryInputs q = MakeQueryInputs(sim);
+  auto run = [&](int threads) {
+    DistributedOptions opts =
+        DeterminismOptions(threads, /*directory_shards=*/0,
+                           /*hierarchical=*/true);
+    opts.mode = ProcessingMode::kCentralized;
+    opts.site.streaming.detect_changes = true;
+    auto sys = std::make_unique<DistributedSystem>(&sim, opts, &q.catalog,
+                                                   &q.sensors);
+    sys->Run();
+    return sys;
+  };
+  const auto reference = run(0);
+  ASSERT_FALSE(reference->snapshots().empty());
+  ASSERT_FALSE(reference->case_snapshots().empty());
+  ASSERT_NE(reference->site(0).pallet_streaming(), nullptr);
+  ASSERT_FALSE(
+      reference->site(0).streaming().all_changes().empty());
+  const auto pooled = run(4);
+  ExpectBitIdentical(*reference, *pooled, sim);
+  const auto& want = reference->site(0).streaming().all_changes();
+  const auto& got = pooled->site(0).streaming().all_changes();
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].object, got[i].object) << "change " << i;
+    EXPECT_EQ(want[i].time, got[i].time) << "change " << i;
+    EXPECT_EQ(want[i].new_container, got[i].new_container) << "change " << i;
+    EXPECT_TRUE(want[i].delta == got[i].delta) << "change " << i;
   }
 }
 

@@ -1,11 +1,14 @@
 // Tests for the RFINFER core: containment recovery, EM monotonicity,
 // location estimates, evidence accounting, change-point detection,
-// critical regions, collapsed priors, and the co-location counter.
+// critical regions, collapsed priors, the co-location counter, and the
+// bit-identity of pooled (executor fan-out) and pool-less runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/rng.h"
 #include "inference/calibration.h"
 #include "inference/colocation.h"
@@ -674,6 +677,159 @@ TEST(InferenceIntegrationTest, SupplyChainStableContainment) {
   double loc_err = LocationErrorPercent(engine, sim.truth(), sim.all_items(),
                                         cfg.horizon / 2, cfg.horizon - 1);
   EXPECT_LT(loc_err, 10.0);
+}
+
+// ---- Pooled vs pool-less engine: bit-identity ----
+
+// Everything a run exposes must match exactly -- doubles compared with ==,
+// never a tolerance -- between an engine run without a pool and one run
+// on `pool`, including the pooled critical-region and change-point scans.
+void ExpectEnginesIdentical(const RFInfer& serial, const RFInfer& pooled,
+                            SiteExecutor* pool) {
+  ASSERT_EQ(serial.object_tags(), pooled.object_tags());
+  ASSERT_EQ(serial.container_tags(), pooled.container_tags());
+  EXPECT_EQ(serial.iterations_used(), pooled.iterations_used());
+  EXPECT_EQ(serial.likelihood_history(), pooled.likelihood_history());
+  for (TagId o : serial.object_tags()) {
+    EXPECT_EQ(serial.ContainerOf(o), pooled.ContainerOf(o)) << o.ToString();
+    const auto ws = serial.ExportWeights(o);
+    const auto wp = pooled.ExportWeights(o);
+    ASSERT_EQ(ws.size(), wp.size()) << o.ToString();
+    for (size_t j = 0; j < ws.size(); ++j) {
+      EXPECT_EQ(ws[j].first, wp[j].first) << o.ToString();
+      EXPECT_TRUE(ws[j].second == wp[j].second)
+          << o.ToString() << " candidate " << j << ": " << ws[j].second
+          << " vs " << wp[j].second;
+    }
+  }
+  for (TagId c : serial.container_tags()) {
+    EXPECT_EQ(serial.ObjectsOf(c), pooled.ObjectsOf(c)) << c.ToString();
+  }
+
+  const auto crs = serial.FindCriticalRegions(60, 25.0);
+  const auto crp = pooled.FindCriticalRegions(60, 25.0, pool);
+  ASSERT_EQ(crs.size(), crp.size());
+  for (const auto& [tag, cr] : crs) {
+    const auto it = crp.find(tag);
+    ASSERT_NE(it, crp.end()) << tag.ToString();
+    EXPECT_EQ(cr.window, it->second.window) << tag.ToString();
+    EXPECT_TRUE(cr.gap == it->second.gap) << tag.ToString();
+  }
+
+  const auto cps = serial.DetectChangePoints(5.0);
+  const auto cpp = pooled.DetectChangePoints(5.0, pool);
+  ASSERT_EQ(cps.size(), cpp.size());
+  for (size_t i = 0; i < cps.size(); ++i) {
+    EXPECT_EQ(cps[i].object, cpp[i].object) << "change " << i;
+    EXPECT_EQ(cps[i].time, cpp[i].time) << "change " << i;
+    EXPECT_EQ(cps[i].old_container, cpp[i].old_container) << "change " << i;
+    EXPECT_EQ(cps[i].new_container, cpp[i].new_container) << "change " << i;
+    EXPECT_TRUE(cps[i].delta == cpp[i].delta) << "change " << i;
+  }
+
+  EXPECT_EQ(serial.EmitEvents(), pooled.EmitEvents());
+}
+
+SupplyChainConfig PoolTestConfig() {
+  SupplyChainConfig cfg;
+  cfg.num_warehouses = 1;
+  cfg.shelves_per_warehouse = 4;
+  cfg.cases_per_pallet = 3;
+  cfg.items_per_case = 10;
+  cfg.shelf_stay = 400;
+  cfg.horizon = 900;
+  cfg.anomaly_interval = 150;  // containment changes to detect
+  cfg.seed = 7;
+  return cfg;
+}
+
+// Two consecutive runs, the second with per-object contexts carried over
+// from the first: critical regions, change-point barriers, and collapsed
+// priors (every third object) -- what StreamingInference feeds a run.
+void ExpectTwoRunsIdentical(const SupplyChainSim& sim, const Trace& trace,
+                            bool hierarchical, SiteExecutor* pool) {
+  RFInfer serial(&sim.model(), &sim.schedule());
+  RFInfer pooled(&sim.model(), &sim.schedule());
+  if (hierarchical) {
+    serial.SetUniverse(sim.all_pallets(), sim.all_cases());
+    pooled.SetUniverse(sim.all_pallets(), sim.all_cases());
+  }
+  ASSERT_TRUE(serial.Run(trace, 0, 599).ok());
+  ASSERT_TRUE(pooled.Run(trace, 0, 599, pool).ok());
+  {
+    SCOPED_TRACE("first run");
+    ExpectEnginesIdentical(serial, pooled, pool);
+  }
+
+  const auto crs = serial.FindCriticalRegions(60, 25.0);
+  const auto cps = serial.DetectChangePoints(5.0);
+  EXPECT_FALSE(crs.empty());
+  if (!hierarchical) {
+    EXPECT_FALSE(cps.empty());
+  }
+  std::vector<std::pair<TagId, ObjectContext>> contexts;
+  const std::vector<TagId>& objects = serial.object_tags();
+  for (size_t i = 0; i < objects.size(); ++i) {
+    ObjectContext ctx;
+    const auto cr = crs.find(objects[i]);
+    if (cr != crs.end()) {
+      ctx.critical_region = cr->second.window;
+      ctx.critical_region_gap = cr->second.gap;
+    }
+    for (const ChangePointResult& cp : cps) {
+      if (cp.object == objects[i]) ctx.barrier = cp.time;
+    }
+    if (i % 3 == 0) ctx.prior_weights = serial.ExportWeights(objects[i]);
+    contexts.emplace_back(objects[i], std::move(ctx));
+  }
+  for (const auto& [tag, ctx] : contexts) {
+    serial.SetObjectContext(tag, ctx);
+    pooled.SetObjectContext(tag, ctx);
+  }
+  ASSERT_TRUE(serial.Run(trace, 600, 899).ok());
+  ASSERT_TRUE(pooled.Run(trace, 600, 899, pool).ok());
+  SCOPED_TRACE("second run, with contexts");
+  ExpectEnginesIdentical(serial, pooled, pool);
+}
+
+TEST(RFInferPoolTest, PooledRunMatchesSerialBitForBit) {
+  SupplyChainSim sim(PoolTestConfig());
+  sim.Run();
+  SiteExecutor pool(4);
+  ExpectTwoRunsIdentical(sim, sim.site_trace(0), /*hierarchical=*/false,
+                         &pool);
+}
+
+TEST(RFInferPoolTest, PooledHierarchicalRunMatchesSerialBitForBit) {
+  SupplyChainSim sim(PoolTestConfig());
+  sim.Run();
+  SiteExecutor pool(4);
+  ExpectTwoRunsIdentical(sim, sim.site_trace(0), /*hierarchical=*/true,
+                         &pool);
+}
+
+TEST(RFInferPoolTest, WorkerlessPoolMatchesNoPool) {
+  SupplyChainSim sim(PoolTestConfig());
+  sim.Run();
+  SiteExecutor inline_pool(0);
+  ASSERT_TRUE(inline_pool.serial());
+  ExpectTwoRunsIdentical(sim, sim.site_trace(0), /*hierarchical=*/false,
+                         &inline_pool);
+}
+
+TEST(RFInferPoolTest, NoObjectsAndFewerObjectsThanThreads) {
+  SiteExecutor pool(4);
+  for (int k : {0, 1}) {
+    SCOPED_TRACE("objects per container: " + std::to_string(k));
+    TwoContainerWorld w(0.8, k);
+    RFInfer serial(&w.model, &w.sched);
+    RFInfer pooled(&w.model, &w.sched);
+    ASSERT_TRUE(serial.Run(w.trace, 0, w.horizon - 1).ok());
+    ASSERT_TRUE(pooled.Run(w.trace, 0, w.horizon - 1, &pool).ok());
+    EXPECT_EQ(pooled.object_tags().size(), static_cast<size_t>(2 * k));
+    EXPECT_EQ(pooled.container_tags().size(), 2u);
+    ExpectEnginesIdentical(serial, pooled, &pool);
+  }
 }
 
 }  // namespace
